@@ -693,8 +693,6 @@ class LayoutAnalyzer:
         lut_sites: Dict[Tuple[int, int, str], object] = {}
         predictions: Dict[int, BitPrediction] = {}
         layout = implementation.layout
-        resource_of = layout.resource_of
-        resource_memo_get = layout._resource_by_bit.get
         sink_signature = self._sink_signature
         sig_memo_get = self._sink_sig_memo.get
         union_verdict = self._union_verdict
@@ -761,8 +759,7 @@ class LayoutAnalyzer:
         # intruding net's name: the verdict tail is shared.
         bridge_tails: Dict[object, Tuple] = {}
 
-        for bit in bits:
-            resource = resource_memo_get(bit) or resource_of(bit)
+        for bit, resource in zip(bits, layout.resources_of(bits)):
             kind = resource[0]
             if kind == KIND_PIP_:
                 pip = (resource[1], resource[2])

@@ -29,7 +29,7 @@ from typing import Dict, List, Set, Tuple
 
 from ..fpga.config import LUT_BITS, lut_bit, slice_cfg
 from ..fpga.device import SLICE_INPUT_PINS
-from ..fpga.routing import Node, Pip, ipin
+from ..fpga.routing import Node, ipin
 from ..pnr.flow import Implementation
 from .seeds import substream
 
@@ -82,31 +82,6 @@ class FaultListManager:
         self.device = implementation.device
 
     # --------------------------------------------------------------
-    def _tile_pips(self, tile: Tuple[int, int]) -> List[Pip]:
-        # Reuse the layout's per-tile cache: the layout instance is shared
-        # across all designs on one device profile, so tile enumerations
-        # done for bit assignment are not repeated per fault list.
-        return self.layout._tile_pips(*tile)
-
-    def _tile_fanin(self, tile: Tuple[int, int]
-                    ) -> Dict[Node, List[Tuple[Pip, int]]]:
-        # Destination node -> [(pip, bit address)], cached on the shared
-        # layout so repeated fault-list builds skip the enumeration.
-        return self.layout.pip_bits_by_destination(*tile)
-
-    def _pips_into_node(self, node: Node) -> List[Pip]:
-        from ..fpga.routing import node_tile
-
-        tile = node_tile(self.device, node)
-        return [pip for pip, _bit in self._tile_fanin(tile).get(node, [])]
-
-    def _bits_into_node(self, node: Node) -> List[int]:
-        from ..fpga.routing import node_tile
-
-        tile = node_tile(self.device, node)
-        return [bit for _pip, bit in self._tile_fanin(tile).get(node, [])]
-
-    # --------------------------------------------------------------
     def build(self, mode: str = "design") -> FaultList:
         if mode not in FAULT_LIST_MODES:
             raise ValueError(f"unknown fault list mode {mode!r}; choose from "
@@ -147,7 +122,7 @@ class FaultListManager:
         # keys are already unique).
         for node in resources.used_nodes:
             if node[0] in ("wire", "ipin", "pad_i"):
-                node_bits = self._bits_into_node(node)
+                node_bits = self.layout.pip_bits_into(node)
                 bits.extend(node_bits)
                 composition["routing"] += len(node_bits)
 
@@ -161,7 +136,7 @@ class FaultListManager:
                     if node in used_input_nodes or node in seen_nodes:
                         continue
                     seen_nodes.add(node)
-                    node_bits = self._bits_into_node(node)
+                    node_bits = self.layout.pip_bits_into(node)
                     bits.extend(node_bits)
                     composition["routing_unused_inputs"] += len(node_bits)
 

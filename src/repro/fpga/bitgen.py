@@ -178,14 +178,12 @@ def compute_design_bit_stats(device: Device, layout: ConfigLayout,
     on), *LUT bits* are the truth-table bits of used LUTs and *CLB flip-flop
     bits* are the slice configuration bits of used flip-flops.
 
-    The per-node candidate counts come from the layout's memoized
-    fan-in tables (one dictionary lookup per used node) instead of the
-    seed's linear scan over each tile's PIP list; the counts are the same
+    A node's candidate count is the length of its PIP bit range in the
+    device's :class:`~repro.fpga.config.PipTable` instead of the seed's
+    linear scan over each tile's PIP list; the counts are the same
     integers, asserted by the flow-equivalence tests against
     :func:`repro.pnr.reference.reference_bit_stats`.
     """
-    from .routing import node_tile
-
     lut_bits = LUT_BITS * len(lut_sites)
     ff_bits = 0
     for _site in ff_sites:
@@ -198,8 +196,7 @@ def compute_design_bit_stats(device: Device, layout: ConfigLayout,
                          if node[0] in ("wire", "ipin", "pad_i")}
     routing_bits = 0
     for node in used_destinations:
-        tile = node_tile(device, node)
-        routing_bits += layout.pip_fanin_counts(*tile).get(node, 0)
+        routing_bits += len(layout.pip_bits_into(node))
 
     return BitstreamStats(routing_bits=routing_bits, lut_bits=lut_bits,
                           ff_bits=ff_bits)

@@ -12,18 +12,25 @@ The :class:`ConfigLayout` is bidirectional — ``bit_of(resource)`` and
 ``resource_of(bit)`` — which is exactly the "database of the programmed
 resources obtained by decoding the Xilinx bitstream" that the paper's fault
 list manager relies on; here we own the format, so the database is computed
-rather than reverse-engineered.
+rather than reverse-engineered.  Its routing half is one integer
+:class:`PipTable` per device profile, in the node numbering of the router's
+:class:`~repro.fpga.routing.RoutingGraph`: one row of (source, destination)
+node ids per configuration bit, the shape of the logic-location rows a
+Xilinx ``.ll`` file lists.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import Dict, List, Tuple
+import struct
+from array import array
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .device import DIRECTIONS as DIRECTIONS_DELTA
-from .device import LUT_SLOTS, Device
-from .routing import Pip, count_tile_pips, pips_into_tile
+from .device import LUT_SLOTS, Device, DeviceSpec
+from .routing import (Node, Pip, count_tile_pips, pips_into_tile, routing_graph,
+                      tile_pip_nodes, tile_pip_signature)
 
 #: Truth-table bits per LUT.
 LUT_BITS = 16
@@ -61,63 +68,42 @@ def pip_resource(pip: Pip) -> Resource:
 
 
 class ConfigLayout:
-    """Deterministic mapping between configuration bits and resources."""
+    """Deterministic mapping between configuration bits and resources.
+
+    The layout itself holds only the tile bases; PIP bits are resolved
+    through the device's shared :class:`PipTable`, which is never
+    pickled with an implementation.
+    """
 
     def __init__(self, device: Device) -> None:
         self.device = device
-        self._tile_base: Dict[Tuple[int, int], int] = {}
+        self._tile_index: Dict[Tuple[int, int], int] = {}
         self._tile_order: List[Tuple[int, int]] = []
+        #: first bit of every tile, in tile order, then ``total_bits``
         self._tile_starts: List[int] = []
-        self._pip_count_cache: Dict[Tuple, int] = {}
-        self._tile_pip_cache: Dict[Tuple[int, int], List[Pip]] = {}
-        self._tile_pip_index_cache: Dict[Tuple[int, int], Dict[Pip, int]] = {}
-        self._tile_fanin_cache: Dict[Tuple[int, int], Dict[Tuple, int]] = {}
-        self._tile_pip_bits_cache: Dict[Tuple[int, int],
-                                        Dict[Tuple, List[Tuple[Pip, int]]]] \
-            = {}
-        self._resource_by_bit: Dict[int, Resource] = {}
         self.total_bits = self._assign_tiles()
 
-    def __getstate__(self) -> Dict[str, object]:
-        # The per-tile PIP caches are large, derived purely from the
-        # device, and rebuilt on demand; keep them out of pickled
-        # implementations (the on-disk flow-artifact store).
-        state = self.__dict__.copy()
-        state["_pip_count_cache"] = {}
-        state["_tile_pip_cache"] = {}
-        state["_tile_pip_index_cache"] = {}
-        state["_tile_fanin_cache"] = {}
-        state["_tile_pip_bits_cache"] = {}
-        state["_resource_by_bit"] = {}
-        return state
-
     # ------------------------------------------------------------------
-    def _tile_class(self, x: int, y: int) -> Tuple:
-        """Tiles with the same border situation have identical PIP counts."""
-        device = self.device
-        outgoing = tuple(sorted(
-            direction for direction in ("N", "S", "E", "W")
-            if device.wire_exists(x, y, direction)))
-        arriving = tuple(sorted(
-            direction for direction in ("N", "S", "E", "W")
-            if device.in_bounds(x - DIRECTIONS_DELTA[direction][0],
-                                y - DIRECTIONS_DELTA[direction][1])))
-        return (outgoing, arriving, len(device.pads_at(x, y)))
-
-    def _pip_count(self, x: int, y: int) -> int:
-        key = self._tile_class(x, y)
-        if key not in self._pip_count_cache:
-            self._pip_count_cache[key] = count_tile_pips(self.device, x, y)
-        return self._pip_count_cache[key]
-
     def _assign_tiles(self) -> int:
+        pip_counts: Dict[Tuple, int] = {}
         offset = 0
-        for (x, y) in self.device.tiles():
-            self._tile_base[(x, y)] = offset
-            self._tile_order.append((x, y))
+        for tile in self.device.tiles():
+            key = tile_pip_signature(self.device, *tile)
+            if key not in pip_counts:
+                pip_counts[key] = count_tile_pips(self.device, *tile)
+            self._tile_index[tile] = len(self._tile_order)
+            self._tile_order.append(tile)
             self._tile_starts.append(offset)
-            offset += TILE_LOGIC_BITS + self._pip_count(x, y)
+            offset += TILE_LOGIC_BITS + pip_counts[key]
+        self._tile_starts.append(offset)
         return offset
+
+    def _index_of_tile(self, x: int, y: int, resource: object) -> int:
+        index = self._tile_index.get((x, y))
+        if index is None:
+            raise KeyError(f"{resource!r}: tile ({x}, {y}) is not on "
+                           f"{self.device.spec.name}")
+        return index
 
     # ------------------------------------------------------------------
     @property
@@ -132,125 +118,199 @@ class ConfigLayout:
         return bit // self.frame_bits
 
     def tile_bits(self, x: int, y: int) -> int:
-        return TILE_LOGIC_BITS + self._pip_count(x, y)
+        index = self._index_of_tile(x, y, (x, y))
+        return self._tile_starts[index + 1] - self._tile_starts[index]
 
     def tile_base(self, x: int, y: int) -> int:
-        return self._tile_base[(x, y)]
+        return self._tile_starts[self._index_of_tile(x, y, (x, y))]
 
     # ------------------------------------------------------------------
-    def _tile_pips(self, x: int, y: int) -> List[Pip]:
-        key = (x, y)
-        if key not in self._tile_pip_cache:
-            self._tile_pip_cache[key] = pips_into_tile(self.device, x, y)
-        return self._tile_pip_cache[key]
+    def pip_bits_into(self, node: Node) -> range:
+        """Bit addresses of every candidate PIP driving routing *node*.
 
-    def _tile_pip_index(self, x: int, y: int) -> Dict[Pip, int]:
-        key = (x, y)
-        if key not in self._tile_pip_index_cache:
-            self._tile_pip_index_cache[key] = {
-                pip: index for index, pip in enumerate(self._tile_pips(x, y))}
-        return self._tile_pip_index_cache[key]
-
-    def pip_fanin_counts(self, x: int, y: int) -> Dict[Tuple, int]:
-        """Candidate-PIP count per destination node of one tile.
-
-        This is the quantity the Table 2 bit accounting sums per used
-        destination; precomputing it turns the seed's linear scan over the
-        tile's PIP list (per node!) into one dictionary lookup.
+        The PIPs into a node are contiguous rows of its tile, so this is
+        one range; its length is the node's fan-in, the quantity the
+        Table 2 bit accounting sums per used destination.
         """
-        key = (x, y)
-        counts = self._tile_fanin_cache.get(key)
-        if counts is None:
-            counts = {}
-            for _source, destination in self._tile_pips(x, y):
-                counts[destination] = counts.get(destination, 0) + 1
-            self._tile_fanin_cache[key] = counts
-        return counts
-
-    def pip_bits_by_destination(self, x: int, y: int
-                                ) -> Dict[Tuple, List[Tuple[Pip, int]]]:
-        """Destination node -> [(pip, bit address)] for one tile.
-
-        The fault-list builder enumerates every candidate PIP bit of every
-        used destination node; pairing PIPs with their bit addresses once
-        per tile (in the canonical layout order) replaces a ``bit_of``
-        call per PIP with plain list iteration, and the layout-level cache
-        shares the result across every fault list built on the device.
-        """
-        key = (x, y)
-        fanin = self._tile_pip_bits_cache.get(key)
-        if fanin is None:
-            base = self._tile_base[key] + TILE_LOGIC_BITS
-            fanin = {}
-            for index, pip in enumerate(self._tile_pips(x, y)):
-                fanin.setdefault(pip[1], []).append((pip, base + index))
-            self._tile_pip_bits_cache[key] = fanin
-        return fanin
+        table = pip_table(self.device)
+        node_id = table.graph.node_id.get(node)
+        if node_id is None:
+            raise KeyError(f"routing node {node!r} is not on "
+                           f"{self.device.spec.name}")
+        return table.bits_into(node_id)
 
     # ------------------------------------------------------------------
     def bit_of(self, resource: Resource) -> int:
-        """Global bit address of a resource."""
+        """Global bit address of a resource.
+
+        Raises :class:`KeyError`, naming the resource, for anything the
+        device does not have.
+        """
         kind = resource[0]
         if kind == KIND_LUT_BIT:
             _, x, y, slot, bit = resource
             if slot not in LUT_SLOTS:
-                raise KeyError(f"unknown LUT slot {slot!r}")
+                raise KeyError(f"{resource!r}: unknown LUT slot {slot!r}")
             if not 0 <= bit < LUT_BITS:
-                raise KeyError(f"LUT bit {bit} out of range")
-            return self._tile_base[(x, y)] + LUT_SLOTS.index(slot) * LUT_BITS \
-                + bit
+                raise KeyError(f"{resource!r}: LUT bit {bit} out of range")
+            return self._tile_starts[self._index_of_tile(x, y, resource)] \
+                + LUT_SLOTS.index(slot) * LUT_BITS + bit
         if kind == KIND_SLICE_CFG:
             _, x, y, name = resource
-            return self._tile_base[(x, y)] + 2 * LUT_BITS + \
-                SLICE_CFG_BITS.index(name)
+            if name not in SLICE_CFG_BITS:
+                raise KeyError(f"{resource!r}: unknown slice configuration "
+                               f"bit {name!r}")
+            return self._tile_starts[self._index_of_tile(x, y, resource)] \
+                + 2 * LUT_BITS + SLICE_CFG_BITS.index(name)
         if kind == KIND_PIP:
-            pip = (resource[1], resource[2])
-            from .routing import pip_tile
-
-            x, y = pip_tile(self.device, pip)
-            index = self._tile_pip_index(x, y).get(pip)
-            if index is None:
-                raise KeyError(f"PIP {pip!r} does not exist in tile "
-                               f"({x}, {y})")
-            return self._tile_base[(x, y)] + TILE_LOGIC_BITS + index
-        raise KeyError(f"unknown resource kind {kind!r}")
+            table = pip_table(self.device)
+            node_id = table.graph.node_id
+            source = node_id.get(resource[1])
+            dest = node_id.get(resource[2])
+            bit = -1 if source is None or dest is None \
+                else table.bit_of(source, dest)
+            if bit < 0:
+                raise KeyError(f"{resource!r}: no such PIP on "
+                               f"{self.device.spec.name}")
+            return bit
+        raise KeyError(f"{resource!r}: unknown resource kind {kind!r}")
 
     def resource_of(self, bit: int) -> Resource:
-        """Inverse mapping: which resource a bit address controls.
+        """Inverse mapping: which resource a bit address controls."""
+        return self.resources_of((bit,))[0]
 
-        Memoized a tile at a time: the fault models and the layout
-        analyzer resolve every bit of a fault list, and tiles worth of
-        consecutive bits share the bisect and the PIP enumeration.
-        """
-        cached = self._resource_by_bit.get(bit)
-        if cached is not None:
-            return cached
-        if not 0 <= bit < self.total_bits:
-            raise IndexError(f"bit {bit} outside configuration memory "
-                             f"(0..{self.total_bits - 1})")
-        tile_index = bisect.bisect_right(self._tile_starts, bit) - 1
-        x, y = self._tile_order[tile_index]
-        base = self._tile_starts[tile_index]
-        table = self._resource_by_bit
-        for offset in range(LUT_BITS):
-            table[base + offset] = lut_bit(x, y, "F", offset)
-            table[base + LUT_BITS + offset] = lut_bit(x, y, "G", offset)
-        for offset, name in enumerate(SLICE_CFG_BITS):
-            table[base + 2 * LUT_BITS + offset] = slice_cfg(x, y, name)
-        pip_base = base + TILE_LOGIC_BITS
-        for index, pip in enumerate(self._tile_pips(x, y)):
-            table[pip_base + index] = pip_resource(pip)
-        return table[bit]
+    def resources_of(self, bits: Iterable[int]) -> List[Resource]:
+        """:meth:`resource_of` for many bits, sharing one table lookup."""
+        starts = self._tile_starts
+        order = self._tile_order
+        table: Optional[PipTable] = None
+        decoded: List[Resource] = []
+        append = decoded.append
+        for bit in bits:
+            if not 0 <= bit < self.total_bits:
+                raise IndexError(f"bit {bit} outside configuration memory "
+                                 f"(0..{self.total_bits - 1})")
+            index = bisect.bisect_right(starts, bit) - 1
+            offset = bit - starts[index]
+            if offset >= TILE_LOGIC_BITS:
+                if table is None:
+                    table = pip_table(self.device)
+                    nodes = table.graph.nodes
+                append((KIND_PIP, nodes[table.source[bit]],
+                        nodes[table.dest[bit]]))
+            elif offset < 2 * LUT_BITS:
+                x, y = order[index]
+                append(lut_bit(x, y, LUT_SLOTS[offset // LUT_BITS],
+                               offset % LUT_BITS))
+            else:
+                x, y = order[index]
+                append(slice_cfg(x, y, SLICE_CFG_BITS[offset - 2 * LUT_BITS]))
+        return decoded
 
     def routing_bit_count(self) -> int:
         """Total number of PIP bits in the device."""
         return self.total_bits - TILE_LOGIC_BITS * self.device.spec.num_tiles
 
 
-#: ConfigLayout per DeviceSpec.  The layout is a pure function of the
-#: device geometry, so one instance (and its lazily filled PIP caches)
-#: serves every design implemented on that profile.
-_LAYOUT_CACHE: Dict[object, ConfigLayout] = {}
+class PipTable:
+    """Every PIP of a device as integer rows, indexed by bit address.
+
+    ``source[bit]`` and ``dest[bit]`` are the
+    :class:`~repro.fpga.routing.RoutingGraph` node ids of the PIP that
+    configuration bit *bit* controls, or -1 at a tile's logic bits.  A
+    tile's rows follow the canonical :func:`pips_into_tile` order, so a
+    PIP's bit is its tile base plus :data:`TILE_LOGIC_BITS` plus its row
+    index.  The PIPs into one destination node are contiguous rows of
+    its tile; ``first_bit[node]`` and ``fanin[node]`` give that range
+    (fan-in 0 for a node no PIP drives).
+
+    Rows are filled a tile class at a time: the class representative's
+    :func:`pips_into_tile` list becomes a template over the slots of
+    :func:`tile_pip_nodes`, and every tile of the class gathers its rows
+    from its own slot ids.
+    """
+
+    def __init__(self, device: Device) -> None:
+        graph = routing_graph(device)
+        self.graph = graph
+        self.first_bit = first_bit = array("i", [0]) * len(graph)
+        self.fanin = fanin = array("i", [0]) * len(graph)
+        tiles = list(device.tiles())
+        keys = [tile_pip_signature(device, x, y) for x, y in tiles]
+        templates: Dict[Tuple, _TileTemplate] = {}
+        for (x, y), key in zip(tiles, keys):
+            if key not in templates:
+                templates[key] = _TileTemplate(tile_pip_nodes(device, x, y),
+                                               pips_into_tile(device, x, y))
+        total = sum(TILE_LOGIC_BITS + templates[key].size for key in keys)
+        self.source = array("i", [-1]) * total
+        self.dest = array("i", [-1]) * total
+        # Rows are written as machine-int bytes: joining the slots' byte
+        # strings into the preallocated rows skips an int conversion
+        # per PIP.
+        pack_int = struct.Struct("i").pack
+        size = self.source.itemsize
+        source_bytes = memoryview(self.source).cast("B")
+        dest_bytes = memoryview(self.dest).cast("B")
+        pip_base = 0
+        for (x, y), key in zip(tiles, keys):
+            template = templates[key]
+            ids = graph.tile_slot_ids(x, y)
+            slots = list(map(pack_int, ids))
+            pip_base += TILE_LOGIC_BITS
+            dest_rows: List[bytes] = []
+            for slot, first, count in template.runs:
+                node = ids[slot]
+                first_bit[node] = pip_base + first
+                fanin[node] = count
+                dest_rows.append(slots[slot] * count)
+            start = pip_base * size
+            end = start + template.size * size
+            source_bytes[start:end] = b"".join(template.sources(slots))
+            dest_bytes[start:end] = b"".join(dest_rows)
+            pip_base += template.size
+        source_bytes.release()
+        dest_bytes.release()
+
+    def bits_into(self, node: int) -> range:
+        """Bit addresses of every PIP into node id *node*."""
+        first = self.first_bit[node]
+        return range(first, first + self.fanin[node])
+
+    def bit_of(self, source: int, dest: int) -> int:
+        """Bit address of the PIP ``source -> dest`` (node ids), or -1."""
+        first = self.first_bit[dest]
+        row = self.source[first:first + self.fanin[dest]]
+        return first + row.index(source) if source in row else -1
+
+
+class _TileTemplate:
+    """One tile class's PIP rows as slots of :func:`tile_pip_nodes`."""
+
+    def __init__(self, nodes: List[Node], pips: List[Pip]) -> None:
+        slot_of = {node: slot for slot, node in enumerate(nodes)}
+        self.sources = itemgetter(*[slot_of[source] for source, _ in pips])
+        self.size = len(pips)
+        #: (destination slot, first row, fan-in) per destination node
+        self.runs: List[Tuple[int, int, int]] = []
+        for row, (_source, dest) in enumerate(pips):
+            slot = slot_of[dest]
+            if self.runs and self.runs[-1][0] == slot:
+                _slot, first, count = self.runs[-1]
+                self.runs[-1] = (slot, first, count + 1)
+            else:
+                self.runs.append((slot, row, 1))
+        if len({slot for slot, _first, _count in self.runs}) != \
+                len(self.runs):
+            raise ValueError("the PIPs into a node must be contiguous rows "
+                             "of their tile")
+
+
+#: ConfigLayout and PipTable per DeviceSpec.  Both are pure functions of
+#: the device geometry, so one instance serves every design implemented
+#: on that profile.
+_LAYOUT_CACHE: Dict[DeviceSpec, ConfigLayout] = {}
+_PIP_TABLES: Dict[DeviceSpec, PipTable] = {}
 
 
 def shared_layout(device: Device) -> ConfigLayout:
@@ -262,9 +322,24 @@ def shared_layout(device: Device) -> ConfigLayout:
     return layout
 
 
+def pip_table(device: Device) -> PipTable:
+    """The memoized PIP table of a device profile."""
+    table = _PIP_TABLES.get(device.spec)
+    if table is None:
+        table = PipTable(device)
+        _PIP_TABLES[device.spec] = table
+    return table
+
+
+def clear_pip_tables() -> None:
+    """Drop memoized PIP tables (they follow the routing graphs)."""
+    _PIP_TABLES.clear()
+
+
 def clear_layout_cache() -> None:
-    """Drop memoized layouts (used by cold-start benchmarks)."""
+    """Drop memoized layouts and PIP tables (used by cold-start benchmarks)."""
     _LAYOUT_CACHE.clear()
+    _PIP_TABLES.clear()
 
 
 @dataclasses.dataclass

@@ -17,8 +17,9 @@ dictionary keys and serialized cheaply:
 A PIP is a directed ``(source_node, sink_node)`` pair controlled by one
 configuration bit.  The connectivity rules below are deterministic functions
 of the device geometry, so the full routing graph never needs to be stored:
-the router asks for the *downhill* PIPs of a node on demand and the
-configuration-layout code enumerates the PIPs owned by one tile on demand.
+the router asks for the *downhill* PIPs of a node on demand, and the
+configuration layout enumerates one tile per tile class and numbers every
+PIP of the device from it (:class:`repro.fpga.config.PipTable`).
 
 All PIP bits are modelled as independent pass-transistor-style bits.  This is
 the simplification that lets a single flipped bit produce the paper's four
@@ -39,6 +40,12 @@ Pip = Tuple[Node, Node]
 
 _OPIN_ORDINAL = {pin: index for index, pin in enumerate(SLICE_OUTPUT_PINS)}
 _IPIN_ORDINAL = {pin: index for index, pin in enumerate(SLICE_INPUT_PINS)}
+_SORTED_DIRECTIONS = sorted(DIRECTIONS.items())
+#: Offset of each pin's node id from its tile's first pin id (graph ids
+#: follow sorted node order, so a tile's pins have consecutive ids).
+_FIRST_OPIN, _FIRST_IPIN = min(SLICE_OUTPUT_PINS), min(SLICE_INPUT_PINS)
+_OPIN_RANKS = [sorted(SLICE_OUTPUT_PINS).index(pin) for pin in SLICE_OUTPUT_PINS]
+_IPIN_RANKS = [sorted(SLICE_INPUT_PINS).index(pin) for pin in SLICE_INPUT_PINS]
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +416,35 @@ class RoutingGraph:
             adjacency[node_id] = result
         self._adjacency_complete = True
 
+    def tile_slot_ids(self, x: int, y: int) -> List[int]:
+        """The ids of :func:`tile_pip_nodes` ``(x, y)``, in slot order.
+
+        Ids follow sorted node order, so a tile's pins, the wires one
+        tile owns, and the wires it owns in one direction, have
+        consecutive ids: one lookup per group replaces building and
+        hashing every node tuple.
+        """
+        device = self.device
+        node_id = self.node_id
+        width = device.spec.wires_per_direction
+        columns, rows = device.columns, device.rows
+        pads = device.pads_at(x, y)
+        first = node_id[opin(x, y, _FIRST_OPIN)]
+        ids = [first + rank for rank in _OPIN_RANKS]
+        ids += [node_id[pad_output(pad.index)] for pad in pads]
+        for direction, (dx, dy) in DIRECTIONS.items():
+            if 0 <= x - dx < columns and 0 <= y - dy < rows:
+                first = node_id[wire(x - dx, y - dy, direction, 0)]
+                ids += range(first, first + width)
+        owned = [direction for direction, (dx, dy) in _SORTED_DIRECTIONS
+                 if 0 <= x + dx < columns and 0 <= y + dy < rows]
+        first = node_id[wire(x, y, owned[0], 0)]
+        ids += range(first, first + len(owned) * width)
+        first = node_id[ipin(x, y, _FIRST_IPIN)]
+        ids += [first + rank for rank in _IPIN_RANKS]
+        ids += [node_id[pad_input(pad.index)] for pad in pads]
+        return ids
+
     def np_tables(self) -> Optional[Dict[str, object]]:
         """Numpy copies of the per-id tables (None without numpy).
 
@@ -447,9 +483,16 @@ def routing_graph(device: Device) -> RoutingGraph:
 
 
 def clear_routing_graph_cache() -> None:
-    """Drop memoized routing graphs (used by cold-start benchmarks)."""
+    """Drop memoized routing graphs (used by cold-start benchmarks).
+
+    The PIP tables of :mod:`repro.fpga.config` are numbered by graph
+    node ids, so they are dropped with the graphs.
+    """
+    from .config import clear_pip_tables
+
     _GRAPH_CACHE.clear()
     _TILE_PIP_TEMPLATES.clear()
+    clear_pip_tables()
 
 
 #: Per-device-spec translation templates for pad-free tile classes.
@@ -512,9 +555,10 @@ def pips_into_tile(device: Device, x: int, y: int) -> List[Pip]:
 
     Pad-free tiles of the same translation class (see
     :func:`_tile_pip_class`) share one enumerated template, translated to
-    the requested coordinates — the fault-list and configuration-layout
-    builders touch every tile of the array, and almost all of them are
-    interior tiles of a single class.
+    the requested coordinates — almost every tile of the array is an
+    interior tile of a single class, so callers that walk many tiles
+    (the seed bit accounting in :mod:`repro.pnr.reference`) pay for one
+    enumeration plus cheap translations.
     """
     key = _tile_pip_class(device, x, y)
     if key is not None:
@@ -585,6 +629,52 @@ def _compute_pips_into_tile(device: Device, x: int, y: int) -> List[Pip]:
             pips.append((opin(x, y, pin_out), destination))
 
     return pips
+
+
+def tile_pip_nodes(device: Device, x: int, y: int) -> List[Node]:
+    """Every node a PIP of tile ``(x, y)`` connects, in slot order.
+
+    The slots are the slice output pins, the tile's pads (fabric-driving
+    side), the arriving wires in :func:`incoming_wires` order, the owned
+    wires in sorted-direction order, the slice input pins and the tile's
+    pads (fabric-reading side).  Two tiles with equal
+    :func:`tile_pip_signature` have the same slots, and their
+    :func:`pips_into_tile` lists agree slot for slot.
+    """
+    width = device.spec.wires_per_direction
+    pads = device.pads_at(x, y)
+    nodes: List[Node] = [opin(x, y, pin) for pin in SLICE_OUTPUT_PINS]
+    nodes.extend(pad_output(pad.index) for pad in pads)
+    nodes.extend(incoming_wires(device, x, y))
+    for direction in sorted(DIRECTIONS):
+        if device.wire_exists(x, y, direction):
+            nodes.extend(wire(x, y, direction, index)
+                         for index in range(width))
+    nodes.extend(ipin(x, y, pin) for pin in SLICE_INPUT_PINS)
+    nodes.extend(pad_input(pad.index) for pad in pads)
+    return nodes
+
+
+def tile_pip_signature(device: Device, x: int, y: int) -> Tuple:
+    """What a tile's PIP list depends on, apart from node coordinates.
+
+    The connectivity rules consult the owned and arriving wire
+    directions, and for each pad only its wire indices, its index
+    parity (the input-pin rule of :func:`_compute_pips_into_tile`) and
+    :func:`pad_accepts`.  Tiles with equal signatures therefore
+    enumerate the same PIPs over the slots of :func:`tile_pip_nodes`.
+    """
+    width = device.spec.wires_per_direction
+    columns, rows = device.columns, device.rows
+    outgoing = tuple(direction for direction, (dx, dy) in _SORTED_DIRECTIONS
+                     if 0 <= x + dx < columns and 0 <= y + dy < rows)
+    arriving = tuple(direction for direction, (dx, dy) in DIRECTIONS.items()
+                     if 0 <= x - dx < columns and 0 <= y - dy < rows)
+    pads = tuple((tuple(pad_wire_indices(device, pad.index)), pad.index % 2,
+                  tuple(pad_accepts(pad.index, index)
+                        for index in range(width)))
+                 for pad in device.pads_at(x, y))
+    return (outgoing, arriving, pads)
 
 
 def count_tile_pips(device: Device, x: int, y: int) -> int:
