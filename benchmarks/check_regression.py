@@ -13,10 +13,10 @@ normalized speedup regresses by more than the tolerance:
   ``--numpy-utilization-floor`` (default 0.6);
 * ``BENCH_flow.json`` (optional, via ``--flow-baseline/--flow-current``)
   — the implementation flow's total ``cold_speedup_vs_seed`` and
-  ``warm_speedup_vs_seed``; when the report carries the
-  ``parallel_cold`` section, the thread-identity bit is a hard gate and
-  the threads=N speedup is held to ``--flow-parallel-min-speedup`` on
-  multi-core runners; when it carries ``defeat_map_build``, the
+  ``warm_speedup_vs_seed``; when the report carries the ``jobs_cold``
+  section, the cross-jobs identity bit is a hard gate and, on multi-core
+  runners, the jobs=N leg must reach ``JOBS_MIN_EFFICIENCY`` of its
+  Amdahl-bound speedup; when it carries ``defeat_map_build``, the
   vectorized build must equal the flood (hard gate), ratio-track the
   in-run flood speedup, and clear ``--flow-map-min-speedup`` over the
   committed flood baselines;
@@ -62,6 +62,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+#: Share of its Amdahl-bound speedup the ``jobs_cold`` leg must reach on
+#: a multi-core machine (the same floor benchmarks/test_flow.py asserts).
+JOBS_MIN_EFFICIENCY = 0.5
 
 
 def best_speedups(payload: dict) -> dict:
@@ -205,7 +209,6 @@ def flow_map_in_run_speedups(payload: dict) -> dict:
 
 
 def check_flow(baseline: dict, current: dict, tolerance: float,
-               parallel_min_speedup: float = 2.5,
                map_min_speedup: float = 5.0) -> list:
     """Flow regression messages (empty when the run is acceptable)."""
     problems = _compare("flow", flow_speedups(baseline),
@@ -213,20 +216,19 @@ def check_flow(baseline: dict, current: dict, tolerance: float,
     problems.extend(_compare("flow defeat-map in-run",
                              flow_map_in_run_speedups(baseline),
                              flow_map_in_run_speedups(current), tolerance))
-    parallel = current.get("parallel_cold")
-    if parallel is not None:
-        if not parallel.get("identical_across_threads", False):
-            problems.append("flow parallel_cold: results were not "
-                            "bit-identical across thread counts")
-        if parallel.get("gate_applied", False):
-            speedup = parallel.get("speedup_threads_n_vs_1", 0.0)
-            if speedup < parallel_min_speedup:
-                problems.append(
-                    f"flow parallel_cold: threads="
-                    f"{parallel.get('threads')} ran at {speedup:.2f}x "
-                    f"threads=1, below the {parallel_min_speedup:.1f}x "
-                    f"floor on a {parallel.get('cpu_count')}-core "
-                    f"machine")
+    jobs = current.get("jobs_cold")
+    if jobs is not None:
+        if not jobs.get("identical_across_jobs", False):
+            problems.append("flow jobs_cold: results were not "
+                            "bit-identical across job counts")
+        efficiency = jobs.get("efficiency", 0.0)
+        if jobs.get("gate_applied", False) and \
+                efficiency < JOBS_MIN_EFFICIENCY:
+            problems.append(
+                f"flow jobs_cold: jobs={jobs.get('jobs')} reached "
+                f"{efficiency:.2f} of its {jobs.get('amdahl_bound')}x "
+                f"Amdahl bound, below the {JOBS_MIN_EFFICIENCY:.2f} "
+                f"floor on a {jobs.get('cpu_count')}-core machine")
     defeat_map = current.get("defeat_map_build")
     if defeat_map is not None:
         for design, row in sorted(defeat_map.get("designs", {}).items()):
@@ -436,12 +438,6 @@ def main(argv=None) -> int:
                         help="committed BENCH_flow.json")
     parser.add_argument("--flow-current", type=Path, default=None,
                         help="freshly measured BENCH_flow.json")
-    parser.add_argument("--flow-parallel-min-speedup", type=float,
-                        default=2.5,
-                        help="floor for the cold suite flow at threads=N "
-                             "vs threads=1 (default 2.5; only applied "
-                             "when the report says the gate ran on a "
-                             "multi-core machine)")
     parser.add_argument("--flow-map-min-speedup", type=float, default=5.0,
                         help="absolute floor for the vectorized defeat-"
                              "map build's speedup over the committed "
@@ -561,7 +557,6 @@ def main(argv=None) -> int:
         flow_current = json.loads(arguments.flow_current.read_text())
         problems.extend(check_flow(
             flow_baseline, flow_current, arguments.tolerance,
-            parallel_min_speedup=arguments.flow_parallel_min_speedup,
             map_min_speedup=arguments.flow_map_min_speedup))
         measured_flow = flow_speedups(flow_current)
         for metric, reference in sorted(
@@ -570,12 +565,13 @@ def main(argv=None) -> int:
             shown = f"{measured:.2f}x" if measured is not None else "missing"
             print(f"flow {metric}: baseline {reference:.2f}x -> "
                   f"current {shown}")
-        parallel = flow_current.get("parallel_cold")
-        if parallel is not None:
-            print(f"flow parallel_cold: threads={parallel.get('threads')} "
-                  f"at {parallel.get('speedup_threads_n_vs_1')}x vs "
-                  f"threads=1 on {parallel.get('cpu_count')} core(s), "
-                  f"identical: {parallel.get('identical_across_threads')}")
+        jobs = flow_current.get("jobs_cold")
+        if jobs is not None:
+            print(f"flow jobs_cold: jobs={jobs.get('jobs')} at "
+                  f"{jobs.get('speedup_jobs_n_vs_1')}x vs jobs=1 "
+                  f"(Amdahl bound {jobs.get('amdahl_bound')}x, efficiency "
+                  f"{jobs.get('efficiency')}) on {jobs.get('cpu_count')} "
+                  f"core(s), identical: {jobs.get('identical_across_jobs')}")
         for design, row in sorted(flow_current.get(
                 "defeat_map_build", {}).get("designs", {}).items()):
             committed = row.get("speedup_vs_committed_flood")

@@ -5,7 +5,8 @@ TMR_p1 4.03%, TMR_p2 0.98%, TMR_p3 1.56%, TMR_p3_nv 12.60%.
 
 Absolute percentages depend on the fault-list composition (our fault list
 also contains provably benign bits, which dilutes every row — see
-EXPERIMENTS.md); the claims checked here are the paper's qualitative ones:
+ROADMAP.md, item 5, statistical fidelity); the claims checked here are
+the paper's qualitative ones:
 
 * the unprotected filter is at least an order of magnitude more vulnerable
   than every TMR version;

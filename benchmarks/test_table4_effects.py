@@ -6,7 +6,7 @@ Paper claims checked:
   dominate the error-causing upsets in every TMR version;
 * LUT upsets essentially never defeat the TMR (in the paper: never; in our
   model the single-LUT output voters are the only possible exception, see
-  EXPERIMENTS.md);
+  ROADMAP.md, item 5, statistical fidelity);
 * the total number of error-causing upsets follows the Table 3 ordering
   (TMR_p3_nv worst, the voted partitions best).
 """

@@ -12,6 +12,8 @@ implementations.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import logging
 from typing import Dict, List, Optional, Tuple
 
 from ..core import (AllComponents, ByComponentType, NoPartition, TMRConfig,
@@ -22,6 +24,8 @@ from ..pnr import Floorplan, Implementation, implement
 from ..pnr.artifacts import StoreLike, flow_fingerprint, resolve_store
 from ..rtl import FirComponents, FirSpec, build_fir
 from ..techmap import merge_luts, remove_buffer_luts
+
+logger = logging.getLogger(__name__)
 
 #: Canonical design names, in the paper's presentation order.
 DESIGN_ORDER = ("standard", "TMR_p1", "TMR_p2", "TMR_p3", "TMR_p3_nv")
@@ -227,11 +231,16 @@ def _suite_floorplan(device: Device, name: str,
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _worker_suite(scale: str, optimize: bool) -> DesignSuite:
+    """The suite one worker process rebuilds once for all its designs."""
+    return build_design_suite(scale, optimize=optimize)
+
+
 def _implement_suite_worker(scale: str, optimize: bool, name: str,
                             floorplan_domains: bool, seed: int,
                             expected_fingerprint: str,
                             partitions: int = 1,
-                            threads: Optional[int] = None,
                             ) -> Tuple[str, Optional[Implementation]]:
     """Implement one suite design in a worker process.
 
@@ -244,7 +253,7 @@ def _implement_suite_worker(scale: str, optimize: bool, name: str,
     returned implementation travels without its netlist; the parent
     re-attaches its own definition.
     """
-    suite = build_design_suite(scale, optimize=optimize)
+    suite = _worker_suite(scale, optimize)
     definition = suite.flat[name]
     device = device_for(suite, name)
     floorplan = _suite_floorplan(device, name, floorplan_domains)
@@ -257,7 +266,7 @@ def _implement_suite_worker(scale: str, optimize: bool, name: str,
     implementation = implement(
         definition, device, seed=seed, floorplan=floorplan,
         anneal_moves_per_slice=suite.scale.anneal_moves_per_slice,
-        partitions=partitions, threads=threads)
+        partitions=partitions)
     return name, dataclasses.replace(implementation, design=None)
 
 
@@ -268,7 +277,6 @@ def implement_design_suite(suite: DesignSuite,
                            jobs: int = 1,
                            artifact_store: StoreLike = None,
                            partitions: int = 1,
-                           threads: Optional[int] = None,
                            ) -> Dict[str, Implementation]:
     """Place and route the selected design versions.
 
@@ -278,10 +286,8 @@ def implement_design_suite(suite: DesignSuite,
     any experiment CLI skips place-and-route entirely.  *jobs* implements
     cache-missing designs in that many parallel worker processes (the five
     suite designs are independent); results are bit-identical to the
-    serial flow in either case.  *partitions*/*threads* select and
-    schedule the partition-parallel annealer exactly as in
-    :func:`repro.pnr.flow.implement` (partitions is fingerprinted,
-    threads is not).
+    serial flow in either case.  *partitions* selects the partitioned
+    annealer exactly as in :func:`repro.pnr.flow.implement`.
     """
     names = list(designs) if designs is not None else list(DESIGN_ORDER)
     store = resolve_store(artifact_store)
@@ -306,7 +312,7 @@ def implement_design_suite(suite: DesignSuite,
     if len(pending) > 1 and jobs > 1:
         implementations.update(
             _implement_parallel(suite, pending, floorplan_domains, seed,
-                                jobs, fingerprints, partitions, threads))
+                                jobs, fingerprints, partitions))
 
     for name in pending:
         if implementations[name] is not None:
@@ -317,7 +323,7 @@ def implement_design_suite(suite: DesignSuite,
         implementations[name] = implement(
             definition, device, seed=seed, floorplan=floorplan,
             anneal_moves_per_slice=suite.scale.anneal_moves_per_slice,
-            partitions=partitions, threads=threads)
+            partitions=partitions)
 
     if store is not None:
         for name in pending:
@@ -331,14 +337,14 @@ def _implement_parallel(suite: DesignSuite, pending: List[str],
                         floorplan_domains: bool, seed: int, jobs: int,
                         fingerprints: Dict[str, str],
                         partitions: int = 1,
-                        threads: Optional[int] = None,
                         ) -> Dict[str, Implementation]:
     """Fan the cache-missing designs out over worker processes.
 
     Any worker failure (pickling quirks on an exotic start method, a
     fingerprint mismatch, a crashed interpreter) leaves the affected
-    design unimplemented; the caller's serial pass picks it up, so
-    parallelism is purely an accelerator and never a correctness risk.
+    design unimplemented and logs a warning naming it; the caller's
+    serial pass picks it up, so parallelism is purely an accelerator and
+    never a correctness risk.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -348,22 +354,37 @@ def _implement_parallel(suite: DesignSuite, pending: List[str],
     except ValueError:
         mp_context = multiprocessing.get_context()
 
+    def fall_back(name: str, cause: str,
+                  error: Optional[BaseException] = None) -> None:
+        logger.warning("parallel implement of %s failed (%s); "
+                       "implementing it serially", name, cause,
+                       exc_info=error)
+
     results: Dict[str, Implementation] = {}
     max_workers = max(1, min(jobs, len(pending)))
     try:
         with ProcessPoolExecutor(max_workers=max_workers,
                                  mp_context=mp_context) as pool:
-            futures = [
-                pool.submit(_implement_suite_worker, suite.scale.name,
-                            suite.optimized, name, floorplan_domains, seed,
-                            fingerprints[name], partitions, threads)
-                for name in pending]
-            for future in futures:
-                name, implementation = future.result()
-                if implementation is not None:
-                    implementation.design = suite.flat[name]
-                    results[name] = implementation
-    except Exception:
-        # Fall back to the serial path for everything not yet produced.
-        pass
+            futures = {
+                name: pool.submit(_implement_suite_worker, suite.scale.name,
+                                  suite.optimized, name, floorplan_domains,
+                                  seed, fingerprints[name], partitions)
+                for name in pending}
+            for name, future in futures.items():
+                try:
+                    _, implementation = future.result()
+                except Exception as error:
+                    fall_back(name, f"{type(error).__name__}: {error}",
+                              error)
+                    continue
+                if implementation is None:
+                    fall_back(name, "the worker's rebuilt netlist has a "
+                                    "different flow fingerprint")
+                    continue
+                implementation.design = suite.flat[name]
+                results[name] = implementation
+    except Exception as error:
+        for name in pending:
+            if name not in results:
+                fall_back(name, f"{type(error).__name__}: {error}", error)
     return results

@@ -91,7 +91,6 @@ class PipelineContext:
                  jobs: int = 1,
                  flow_cache: StoreLike = None,
                  anneal_partitions: int = 1,
-                 flow_threads: Optional[int] = None,
                  floorplan_domains: bool = False,
                  partition_selector: str = "canonical",
                  shortlist_size: int = 3,
@@ -112,8 +111,6 @@ class PipelineContext:
         self.store = resolve_store(flow_cache)
         #: annealer partition count (result-determining; fingerprinted)
         self.anneal_partitions = anneal_partitions
-        #: region-sweep worker threads (execution-only; not fingerprinted)
-        self.flow_threads = flow_threads
         self.floorplan_domains = floorplan_domains
         self.partition_selector = partition_selector
         self.shortlist_size = shortlist_size
@@ -278,8 +275,7 @@ class ImplementStage(Stage):
                 ctx.suite, designs=list(ctx.designs),
                 floorplan_domains=ctx.floorplan_domains,
                 jobs=ctx.jobs, artifact_store=ctx.store,
-                partitions=ctx.anneal_partitions,
-                threads=ctx.flow_threads)
+                partitions=ctx.anneal_partitions)
         summary: Dict[str, object] = {}
         for name in ctx.designs:
             implementation = ctx.implementations.get(name)

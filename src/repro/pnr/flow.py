@@ -65,8 +65,7 @@ def implement(definition: Definition, device: Optional[Device] = None,
               target_utilization: float = 0.55,
               layout: Optional[ConfigLayout] = None,
               artifact_store: StoreLike = None,
-              partitions: int = 1,
-              threads: Optional[int] = None) -> Implementation:
+              partitions: int = 1) -> Implementation:
     """Implement a flat netlist on a device.
 
     When *device* is omitted the smallest profile that fits the design at a
@@ -83,10 +82,8 @@ def implement(definition: Definition, device: Optional[Device] = None,
     fingerprinted inputs, so cached and recomputed implementations are
     bit-identical.
 
-    *partitions* selects the partition-parallel annealer (fingerprinted —
-    it changes the placement); *threads* (default: the
-    ``REPRO_FLOW_THREADS`` environment knob) only schedules the region
-    sweeps and is deliberately not fingerprinted.
+    *partitions* selects the partitioned annealer (fingerprinted — it
+    changes the placement).
     """
     from .route import RoutingError
 
@@ -130,13 +127,12 @@ def implement(definition: Definition, device: Optional[Device] = None,
                           floorplan=floorplan,
                           anneal_moves_per_slice=anneal_moves_per_slice,
                           target_utilization=utilization,
-                          partitions=partitions, threads=threads)
+                          partitions=partitions)
         try:
             routing = route_design(definition, packed, placement, device,
                                    max_iterations=router_iterations
                                    + 8 * attempt,
-                                   allow_overuse=allow_overuse,
-                                   threads=threads)
+                                   allow_overuse=allow_overuse)
             break
         except RoutingError:
             if attempt == attempts - 1 or floorplan is not None:

@@ -11,41 +11,12 @@ we evaluate as an ablation experiment.
 from __future__ import annotations
 
 import dataclasses
-import logging
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.ir import Definition, InstancePin
 from ..fpga.device import Device
 from .pack import PackResult
-
-logger = logging.getLogger(__name__)
-
-#: Environment knob: worker threads for the partition-parallel annealer
-#: (and the suite-level flow fan-out).  Execution-only — never part of the
-#: flow fingerprint, never allowed to change results.
-FLOW_THREADS_ENV = "REPRO_FLOW_THREADS"
-
-#: Pool-startup guard: below these floors the partitioned anneal runs its
-#: region sweeps serially (same results — the pool only schedules work).
-MIN_PARALLEL_SLICES_PER_REGION = 8
-MIN_PARALLEL_MOVES = 2048
-
-
-def resolve_flow_threads(threads: Optional[int] = None) -> int:
-    """Worker-thread count for the flow: explicit arg > env knob > 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(FLOW_THREADS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring non-integer %s=%r",
-                           FLOW_THREADS_ENV, env)
-    return 1
 
 
 @dataclasses.dataclass
@@ -83,9 +54,6 @@ class Placement:
     cell_tiles: Dict[str, Tuple[int, int]]
     #: total half-perimeter wirelength after placement
     wirelength: int = 0
-    #: execution record of the annealing stage (mode, partitions, threads,
-    #: fallback reason) — provenance only, never result-determining.
-    anneal_info: Optional[Dict[str, object]] = None
 
     def tile_of_cell(self, cell_name: str) -> Tuple[int, int]:
         return self.cell_tiles[cell_name]
@@ -147,8 +115,7 @@ def place(definition: Definition, pack_result: PackResult, device: Device,
           seed: int = 1, floorplan: Optional[Floorplan] = None,
           anneal_moves_per_slice: int = 0,
           target_utilization: float = 0.55,
-          partitions: int = 1,
-          threads: Optional[int] = None) -> Placement:
+          partitions: int = 1) -> Placement:
     """Place packed slices onto the device.
 
     *anneal_moves_per_slice* controls the optional simulated-annealing
@@ -161,9 +128,8 @@ def place(definition: Definition, pack_result: PackResult, device: Device,
     *partitions* splits the annealing into that many disjoint slice
     regions swept independently per round (``1`` keeps the single-stream
     annealer, bit-identical to previous releases).  The partition count is
-    a result-determining flow knob; *threads* only schedules the region
-    sweeps and never changes the outcome — the placement is identical for
-    any thread count at a fixed (seed, partitions).
+    a result-determining flow knob: the placement is a pure function of
+    (seed, partitions).
     """
     num_slices = pack_result.num_slices
     if num_slices > device.spec.num_tiles:
@@ -227,18 +193,15 @@ def place(definition: Definition, pack_result: PackResult, device: Device,
     endpoints = _build_net_endpoints(definition, pack_result)
     wirelength = _wirelength(endpoints, cell_tiles)
 
-    anneal_info: Optional[Dict[str, object]] = None
     if anneal_moves_per_slice > 0 and num_slices > 2 and floorplan is None:
         moves = anneal_moves_per_slice * num_slices
         if partitions <= 1:
             wirelength = _anneal(definition, pack_result, device,
                                  slice_tiles, endpoints, rng, moves)
-            anneal_info = {"mode": "serial", "partitions": 1, "threads": 1}
         else:
-            wirelength, anneal_info = _anneal_partitioned(
+            wirelength = _anneal_partitioned(
                 pack_result, slice_tiles, endpoints, seed=seed,
-                moves=moves, partitions=partitions,
-                threads=resolve_flow_threads(threads))
+                moves=moves, partitions=partitions)
         # The anneal moves slices, not cells: rebuild the derived map once
         # instead of patching it on every accepted swap.
         for slice_index, tile in enumerate(slice_tiles):
@@ -253,7 +216,6 @@ def place(definition: Definition, pack_result: PackResult, device: Device,
         port_pads=port_pads,
         cell_tiles=cell_tiles,
         wirelength=wirelength,
-        anneal_info=anneal_info,
     )
 
 
@@ -342,8 +304,8 @@ def _region_sweep(region: List[int], positions: List[Tuple[int, int]],
     *positions* and *lengths* are private copies: swaps touch only slices
     of *region*, net bounding boxes are evaluated with every non-region
     endpoint at its round-start position.  The sweep therefore depends
-    only on (snapshot, rng, temperature) — never on scheduling — which is
-    what makes the merged result thread-count independent.
+    only on (snapshot, rng, temperature), never on the order in which the
+    round's regions are swept.
     """
     span = len(region)
     for _move in range(moves):
@@ -376,9 +338,8 @@ def _region_sweep(region: List[int], positions: List[Tuple[int, int]],
 def _anneal_partitioned(pack_result: PackResult,
                         slice_tiles: List[Tuple[int, int]],
                         endpoints: List[List[str]], seed: int,
-                        moves: int, partitions: int, threads: int
-                        ) -> Tuple[int, Dict[str, object]]:
-    """Partition-parallel pairwise-swap annealing.
+                        moves: int, partitions: int) -> int:
+    """Partitioned pairwise-swap annealing.
 
     Slices are split into *partitions* disjoint regions by their
     constructive location (column-major, so regions are spatially
@@ -386,8 +347,7 @@ def _anneal_partitioned(pack_result: PackResult,
     region independently — seeded per (seed, partitions, region, round) —
     against a shared snapshot, then merges the disjoint results in region
     order and recomputes the net lengths.  The accepted-move sequence is
-    a pure function of (seed, partitions): thread count only changes which
-    worker executes a sweep, never its outcome.
+    a pure function of (seed, partitions).
     """
     num_slices = len(slice_tiles)
     net_slices, nets_of_slice = _net_tables(pack_result, endpoints)
@@ -412,61 +372,24 @@ def _anneal_partitioned(pack_result: PackResult,
     temperature = max(2.0, current / max(1, len(endpoints)) * 0.5)
     round_moves = -(-moves // _PARTITION_ROUNDS)
 
-    use_pool = (threads > 1
-                and moves >= MIN_PARALLEL_MOVES
-                and num_slices >= partitions * MIN_PARALLEL_SLICES_PER_REGION)
-    fallback_reason = None
-    if threads > 1 and not use_pool:
-        fallback_reason = (
-            f"serial fallback: {moves} moves / {num_slices} slices below "
-            f"pool floor ({MIN_PARALLEL_MOVES} moves, "
-            f"{MIN_PARALLEL_SLICES_PER_REGION}/region)")
-        logger.info("%s", fallback_reason)
-
-    def sweep_args(region_index: int, round_index: int):
-        region = regions[region_index]
-        region_moves = -(-round_moves * len(region) // max(1, num_slices))
-        rng = random.Random(
-            f"{seed}:{partitions}:{region_index}:{round_index}")
-        return (region, list(slice_tiles), net_slices, nets_of_slice,
-                list(lengths), rng, temperature, region_moves)
-
-    pool = ThreadPoolExecutor(max_workers=threads) if use_pool else None
-    try:
-        for round_index in range(_PARTITION_ROUNDS):
-            if pool is not None:
-                futures = [
-                    pool.submit(_region_sweep,
-                                *sweep_args(region_index, round_index))
-                    for region_index in range(partitions)]
-                results = [future.result() for future in futures]
-            else:
-                results = [
-                    _region_sweep(*sweep_args(region_index, round_index))
-                    for region_index in range(partitions)]
-            # Fixed merge order: regions are disjoint, so merging is a
-            # plain scatter; doing it in region order keeps the accepted
-            # placement history reproducible in logs and debuggers.
-            for region, placed in zip(regions, results):
-                for slice_index, tile in zip(region, placed):
-                    slice_tiles[slice_index] = tile
-            lengths = [net_length(i) for i in range(len(endpoints))]
-            current = sum(lengths)
-            temperature = max(temperature * 0.7, 0.05)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    info: Dict[str, object] = {
-        "mode": "partitioned-pool" if use_pool else "partitioned-serial",
-        "partitions": partitions,
-        "threads": threads if use_pool else 1,
-        "region_sizes": [len(region) for region in regions],
-        "rounds": _PARTITION_ROUNDS,
-    }
-    if fallback_reason is not None:
-        info["fallback"] = fallback_reason
-    return current, info
+    for round_index in range(_PARTITION_ROUNDS):
+        results = []
+        for region_index, region in enumerate(regions):
+            region_moves = -(-round_moves * len(region) // max(1, num_slices))
+            rng = random.Random(
+                f"{seed}:{partitions}:{region_index}:{round_index}")
+            results.append(_region_sweep(
+                region, list(slice_tiles), net_slices, nets_of_slice,
+                list(lengths), rng, temperature, region_moves))
+        # Regions are disjoint, so merging is a plain scatter in region
+        # order.
+        for region, placed in zip(regions, results):
+            for slice_index, tile in zip(region, placed):
+                slice_tiles[slice_index] = tile
+        lengths = [net_length(i) for i in range(len(endpoints))]
+        current = sum(lengths)
+        temperature = max(temperature * 0.7, 0.05)
+    return current
 
 
 def _assign_pads(definition: Definition, device: Device

@@ -82,7 +82,6 @@ class Scenario:
 
     def context(self, *, jobs: int = 1, flow_cache: StoreLike = None,
                 anneal_partitions: int = 1,
-                flow_threads: Optional[int] = None,
                 progress: bool = False,
                 progress_callback=None) -> PipelineContext:
         """A pipeline context carrying this scenario's resolved knobs."""
@@ -99,7 +98,6 @@ class Scenario:
             jobs=jobs,
             flow_cache=flow_cache,
             anneal_partitions=anneal_partitions,
-            flow_threads=flow_threads,
             floorplan_domains=self.floorplan_domains,
             partition_selector=self.partition_selector,
             shortlist_size=self.shortlist_size,
@@ -334,7 +332,6 @@ def run_scenario(scenario: Union[str, Scenario], *,
                  jobs: int = 1,
                  flow_cache: StoreLike = None,
                  anneal_partitions: int = 1,
-                 flow_threads: Optional[int] = None,
                  progress: bool = False,
                  progress_callback=None,
                  repeat: int = 1) -> Dict[str, object]:
@@ -395,7 +392,6 @@ def run_scenario(scenario: Union[str, Scenario], *,
     for _ in range(repeat):
         report = _run_once(scenario, jobs=jobs, flow_cache=flow_cache,
                            anneal_partitions=anneal_partitions,
-                           flow_threads=flow_threads,
                            progress=progress,
                            progress_callback=progress_callback,
                            keepalive=keepalive)
@@ -405,14 +401,12 @@ def run_scenario(scenario: Union[str, Scenario], *,
 
 def _run_once(scenario: Scenario, *, jobs: int, flow_cache: StoreLike,
               anneal_partitions: int = 1,
-              flow_threads: Optional[int] = None,
               progress: bool, progress_callback=None,
               keepalive: Optional[List[PipelineContext]] = None
               ) -> Dict[str, object]:
     def execute(variant: Scenario) -> Dict[str, object]:
         ctx = variant.context(jobs=jobs, flow_cache=flow_cache,
                               anneal_partitions=anneal_partitions,
-                              flow_threads=flow_threads,
                               progress=progress,
                               progress_callback=progress_callback)
         if keepalive is not None:

@@ -1,5 +1,7 @@
 """Persistent flow-artifact store: hits, misses, recovery, equivalence."""
 
+import logging
+import os
 import pickle
 
 import pytest
@@ -162,3 +164,30 @@ class TestSuiteIntegration:
         for name in designs:
             _same_implementation(serial[name], parallel[name])
             assert parallel[name].design is smoke_suite.flat[name]
+
+    def test_parallel_fallback_is_logged_and_identical(self, smoke_suite,
+                                                       monkeypatch, caplog):
+        from repro.experiments import designs as designs_module
+        from repro.experiments import implement_design_suite
+
+        # Workers fork from this process; make their rebuilt netlists
+        # fingerprint differently so every design falls back to serial.
+        parent = os.getpid()
+        real_fingerprint = designs_module.flow_fingerprint
+
+        def worker_mismatch(*args, **kwargs):
+            fingerprint = real_fingerprint(*args, **kwargs)
+            return fingerprint if os.getpid() == parent else "mismatch"
+
+        designs = ["standard", "TMR_p3_nv"]
+        serial = implement_design_suite(smoke_suite, designs=designs)
+        monkeypatch.setattr(designs_module, "flow_fingerprint",
+                            worker_mismatch)
+        with caplog.at_level(logging.WARNING,
+                             logger=designs_module.__name__):
+            fallback = implement_design_suite(smoke_suite, designs=designs,
+                                              jobs=2)
+        for name in designs:
+            _same_implementation(serial[name], fallback[name])
+            assert f"parallel implement of {name} failed" in caplog.text
+        assert "different flow fingerprint" in caplog.text

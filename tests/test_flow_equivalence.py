@@ -86,12 +86,11 @@ class TestPlacementEquivalence:
 
 
 class TestPartitionedPlacement:
-    """Determinism contract of the partition-parallel annealer.
+    """Determinism contract of the partitioned annealer.
 
-    *partitions* is a result-determining flow knob; *threads* only
-    schedules the region sweeps.  ``partitions=1`` must stay
-    bit-identical to the single-stream annealer, and any thread count
-    must reproduce the same placement at a fixed (seed, partitions).
+    *partitions* is a result-determining flow knob: ``partitions=1`` must
+    stay bit-identical to the single-stream annealer, and the placement
+    is a pure function of (seed, partitions).
     """
 
     def _fingerprint(self, placement):
@@ -103,39 +102,24 @@ class TestPartitionedPlacement:
         packed = pack(tmr_flat)
         base = place(tmr_flat, packed, device, seed=5,
                      anneal_moves_per_slice=6)
-        for threads in (1, 4):
-            partitioned = place(tmr_flat, packed, device, seed=5,
-                                anneal_moves_per_slice=6, partitions=1,
-                                threads=threads)
-            assert self._fingerprint(partitioned) == \
-                self._fingerprint(base)
+        partitioned = place(tmr_flat, packed, device, seed=5,
+                            anneal_moves_per_slice=6, partitions=1)
+        assert self._fingerprint(partitioned) == self._fingerprint(base)
 
     @pytest.mark.parametrize("seed", [1, 9])
     @pytest.mark.parametrize("partitions", [2, 4])
-    def test_identical_across_thread_counts(self, tmr_flat, seed,
-                                            partitions):
+    def test_deterministic_and_distinct_from_single_stream(
+            self, tmr_flat, seed, partitions):
         device = device_by_name("XC2S50E")
         packed = pack(tmr_flat)
-        fingerprints = []
-        for threads in (1, 2, 4):
-            placement = place(tmr_flat, packed, device, seed=seed,
-                              anneal_moves_per_slice=6,
-                              partitions=partitions, threads=threads)
-            fingerprints.append(self._fingerprint(placement))
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-
-    def test_anneal_info_records_mode(self, tiny_fir_flat, small_device):
-        packed = pack(tiny_fir_flat)
-        placement = place(tiny_fir_flat, packed, small_device, seed=2,
-                          anneal_moves_per_slice=3)
-        assert placement.anneal_info.get("mode") == "serial"
-        partitioned = place(tiny_fir_flat, packed, small_device, seed=2,
-                            anneal_moves_per_slice=3, partitions=2,
-                            threads=2)
-        # The tiny design sits under the pool floor, so the guard must
-        # have routed it through the serial partition sweep.
-        assert partitioned.anneal_info.get("mode") == \
-            "partitioned-serial"
+        first, second = (
+            place(tmr_flat, packed, device, seed=seed,
+                  anneal_moves_per_slice=6, partitions=partitions)
+            for _ in range(2))
+        assert self._fingerprint(first) == self._fingerprint(second)
+        single = place(tmr_flat, packed, device, seed=seed,
+                       anneal_moves_per_slice=6)
+        assert first.slice_tiles != single.slice_tiles
 
 
 class TestRoutingEquivalence:
@@ -178,11 +162,10 @@ class TestRoutingEquivalence:
 
     @pytest.mark.parametrize("name", ["standard", "p1", "p2", "p3",
                                       "p3_nv"])
-    def test_batched_route_matches_reference_all_designs(self, suite_flats,
-                                                         name):
+    def test_route_matches_reference_all_designs(self, suite_flats, name):
         # Every design version of the suite — the unprotected filter and
         # all four TMR partitions — routes bit-identically through the
-        # batched wavefront router and the seed single-net router.
+        # integer-id router and the seed tuple router.
         flat = suite_flats[name]
         device = device_by_name("XC2S50E")
         packed = pack(flat)
