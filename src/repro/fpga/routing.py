@@ -16,10 +16,10 @@ dictionary keys and serialized cheaply:
 
 A PIP is a directed ``(source_node, sink_node)`` pair controlled by one
 configuration bit.  The connectivity rules below are deterministic functions
-of the device geometry, so the full routing graph never needs to be stored:
-the router asks for the *downhill* PIPs of a node on demand, and the
-configuration layout enumerates one tile per tile class and numbers every
-PIP of the device from it (:class:`repro.fpga.config.PipTable`).
+of the device geometry: :class:`RoutingGraph` derives the router's
+neighbour lists from them in one pass, and the configuration layout
+enumerates one tile per tile class and numbers every PIP of the device
+from it (:class:`repro.fpga.config.PipTable`).
 
 All PIP bits are modelled as independent pass-transistor-style bits.  This is
 the simplification that lets a single flipped bit produce the paper's four
@@ -31,6 +31,7 @@ depending on whether its two ends are used (see
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from .device import (DIRECTIONS, OPPOSITE, SLICE_INPUT_PINS, SLICE_OUTPUT_PINS, Device)
@@ -226,18 +227,31 @@ def downhill(device: Device, node: Node) -> List[Node]:
 class RoutingGraph:
     """The device's routing resources as flat integer-indexed arrays.
 
-    The router's A* search spends nearly all of its time hashing node
-    tuples into cost/occupancy dictionaries and re-deriving neighbour
-    lists.  This class enumerates the full node universe once per device,
-    assigns every node an integer id, and exposes
+    The router's A* search spends nearly all of its time in its
+    neighbour loop.  This class enumerates the full node universe once
+    per device, assigns every node an integer id, and exposes
 
     * ``node_id`` / ``nodes`` — the tuple <-> id bijection,
     * ``tile_x`` / ``tile_y`` — per-id tile coordinates (a pad maps to its
       perimeter tile),
-    * ``is_sink`` / ``is_wire`` / ``is_pad_in`` — per-id kind predicates,
-    * ``downhill_ids`` — per-id neighbour ids, computed lazily in exactly
-      the order :func:`downhill` emits them (so heap tie-breaking, and
-      therefore every route tree, is bit-identical to the tuple router).
+    * ``is_wire`` — the per-id kind predicate congestion is counted on,
+    * :meth:`through` — per-id *through* neighbour ids: the node's
+      :func:`downhill` list, in emission order, with the sinks (``ipin``
+      and ``pad_i``) dropped,
+    * ``box_mask_template`` / ``unbounded_mask`` — the router's
+      one-byte-per-id candidate masks: the first blocks every wire and
+      every sink (a router opens one net's box in its own copy, one
+      :meth:`wire_span` per box column), the second blocks only sinks.
+
+    A search enters exactly one sink, its target, and reaches it from
+    the target's PIP fan-in (:meth:`repro.fpga.config.PipTable.bits_into`)
+    instead of through the neighbour lists, which therefore hold about a
+    third of the device's PIPs.  In :func:`downhill` order every sink
+    comes after every non-sink, so a search that considers its target
+    after a feeder's through neighbours visits edges in exactly the full
+    list's order — heap tie-breaking, and therefore every route tree,
+    stays bit-identical to the tuple router.  Nothing drives an ``opin``
+    or a ``pad_o``, so every through neighbour is a wire.
 
     Ids are assigned in sorted node-tuple order, so sorting ids is the
     same as sorting tuples — the property the router's deterministic
@@ -245,7 +259,8 @@ class RoutingGraph:
 
     Graphs are memoized per :class:`~repro.fpga.device.DeviceSpec` via
     :func:`routing_graph`; one graph serves every net, negotiation
-    iteration, design and placement attempt on that device profile.
+    iteration, design and placement attempt on that device profile, and
+    nothing a search writes lives on it.
     """
 
     def __init__(self, device: Device) -> None:
@@ -272,21 +287,28 @@ class RoutingGraph:
         count = len(nodes)
         self.tile_x: List[int] = [0] * count
         self.tile_y: List[int] = [0] * count
-        self.is_sink: List[bool] = [False] * count
         self.is_wire: List[bool] = [False] * count
-        self.is_pad_in: List[bool] = [False] * count
+        box_mask = bytearray(count)
+        unbounded_mask = bytearray(count)
         for index, node in enumerate(nodes):
             tile = node_tile(device, node)
             self.tile_x[index] = tile[0]
             self.tile_y[index] = tile[1]
             kind = node[0]
-            self.is_sink[index] = kind in ("ipin", "pad_i")
-            self.is_wire[index] = kind == "wire"
-            self.is_pad_in[index] = kind == "pad_i"
-        #: lazily filled per-id neighbour lists (None until first visited)
-        self._adjacency: List[Optional[List[int]]] = [None] * count
-        self._adjacency_complete = False
-        self._np_tables: Optional[Dict[str, object]] = None
+            if kind == "wire":
+                self.is_wire[index] = True
+                box_mask[index] = 1
+            elif kind in ("ipin", "pad_i"):
+                box_mask[index] = unbounded_mask[index] = 1
+        self.box_mask_template = bytes(box_mask)
+        self.unbounded_mask = bytes(unbounded_mask)
+        # A wire's tuple starts with its owning tile, so in sorted id
+        # order the wires of tiles (x, 0) .. (x, rows - 1) follow each
+        # other: _wire_first[x * rows + y] is the first of tile (x, y).
+        self._wire_first = [bisect_left(nodes, ("wire", x, y))
+                            for x in range(device.columns)
+                            for y in range(device.rows)] + [count]
+        self._through: Optional[List[Tuple[int, ...]]] = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -294,127 +316,83 @@ class RoutingGraph:
     def id_of(self, node: Node) -> int:
         return self.node_id[node]
 
-    def downhill_ids(self, node_id: int) -> List[int]:
-        """Neighbour ids of a node, in :func:`downhill` order."""
-        adjacency = self._adjacency[node_id]
-        if adjacency is None:
-            lookup = self.node_id
-            adjacency = [lookup[neighbor] for neighbor
-                         in downhill(self.device, self.nodes[node_id])]
-            self._adjacency[node_id] = adjacency
-        return adjacency
+    def wire_span(self, x: int, min_y: int, max_y: int) -> Tuple[int, int]:
+        """Id range ``[start, stop)`` of the wires tiles ``(x, min_y)``
+        .. ``(x, max_y)`` own: one contiguous span in sorted id order."""
+        first = x * self.device.rows
+        return (self._wire_first[first + min_y],
+                self._wire_first[first + max_y + 1])
 
-    # --------------------------------------------------------------
-    def build_adjacency(self) -> None:
-        """Fill the whole adjacency table in one bulk pass.
+    def through(self) -> List[Tuple[int, ...]]:
+        """Per-id through neighbour ids, built in one pass on first use.
 
-        Produces, for every node, exactly the id list
-        :meth:`downhill_ids` would compute — same neighbours, same order
-        (asserted by the equivalence tests) — but via integer grid
-        lookups instead of constructing and hashing one node tuple per
-        neighbour, which makes the cold build several times cheaper than
-        letting the router fault the table in lazily.
+        Each list is exactly :func:`downhill` without its sinks, in the
+        same order (asserted over every node by the equivalence tests),
+        but derived from integer id arithmetic instead of constructing
+        and hashing one node tuple per neighbour.
         """
-        if self._adjacency_complete:
-            return
+        if self._through is None:
+            self._through = self._build_through()
+        return self._through
+
+    def _build_through(self) -> List[Tuple[int, ...]]:
         device = self.device
         width = device.spec.wires_per_direction
-        nodes = self.nodes
-        count = len(nodes)
-        columns, rows = device.columns, device.rows
-        dir_list = list(DIRECTIONS)
-        dir_ordinal = {d: i for i, d in enumerate(dir_list)}
-        num_ipins = len(SLICE_INPUT_PINS)
+        rows = device.rows
+        ordinal = {direction: index
+                   for index, direction in enumerate(DIRECTIONS)}
+        # first[(x * rows + y) * len(DIRECTIONS) + d]: the id of
+        # wire(x, y, d, 0), or -1 where tile (x, y) owns no such wires.
+        # Indices follow, so wire(x, y, d, i) is first + i.
+        first = [-1] * (device.columns * rows * len(DIRECTIONS))
+        for node_id, node in enumerate(self.nodes):
+            if node[0] == "wire" and node[4] == 0:
+                first[(node[1] * rows + node[2]) * len(DIRECTIONS)
+                      + ordinal[node[3]]] = node_id
+        # Per arriving direction: (outgoing ordinal, out indices per
+        # arriving index), in downhill's outgoing-direction order.
+        turns = {d_in: [(ordinal[d_out],
+                         [spip_out_indices(device, d_in, d_out, index)
+                          for index in range(width)])
+                        for d_out in DIRECTIONS if d_out != OPPOSITE[d_in]]
+                 for d_in in DIRECTIONS}
+        opin_indices = {pin: opin_wire_indices(device, pin)
+                        for pin in SLICE_OUTPUT_PINS}
+        # The id ints node_id already holds, so the lists share them
+        # instead of allocating one int object per edge.
+        ids = list(self.node_id.values())
 
-        # Integer id grids, filled from the already-sorted node universe.
-        wire_grid = [-1] * (columns * rows * len(dir_list) * width)
-        ipin_grid = [-1] * (columns * rows * num_ipins)
-        pad_in_id: Dict[int, int] = {}
-        for node_id, node in enumerate(nodes):
+        def driven(x: int, y: int, indices: List[int]) -> Tuple[int, ...]:
+            """Wires of tile (x, y) with these indices, all directions."""
+            tile = (x * rows + y) * len(DIRECTIONS)
+            return tuple([ids[first[tile + d] + index]
+                          for d in range(len(DIRECTIONS))
+                          if first[tile + d] >= 0 for index in indices])
+
+        through: List[Tuple[int, ...]] = []
+        for node in self.nodes:
             kind = node[0]
             if kind == "wire":
                 _, x, y, direction, index = node
-                wire_grid[((x * rows + y) * len(dir_list)
-                           + dir_ordinal[direction]) * width + index] = \
-                    node_id
-            elif kind == "ipin":
-                _, x, y, pin = node
-                ipin_grid[(x * rows + y) * num_ipins
-                          + _IPIN_ORDINAL[pin]] = node_id
-            elif kind == "pad_i":
-                pad_in_id[node[1]] = node_id
-
-        # Small rule tables, evaluated once instead of per node.
-        opin_indices = {pin: opin_wire_indices(device, pin)
-                        for pin in SLICE_OUTPUT_PINS}
-        spip_table = {
-            (d_in, d_out): [spip_out_indices(device, d_in, d_out, index)
-                            for index in range(width)]
-            for d_in in dir_list for d_out in dir_list
-            if d_out != OPPOSITE[d_in]}
-        feedback = {pin: [_IPIN_ORDINAL[pin_in]
-                          for pin_in in SLICE_INPUT_PINS
-                          if opin_feeds_ipin(pin, pin_in)]
-                    for pin in SLICE_OUTPUT_PINS}
-        pads_at = {}
-        for pad in device.pads:
-            pads_at.setdefault((pad.x, pad.y), []).append(pad.index)
-
-        adjacency = self._adjacency
-        for node_id, node in enumerate(nodes):
-            if adjacency[node_id] is not None:
-                continue
-            kind = node[0]
-            result: List[int] = []
-            if kind == "opin":
-                _, x, y, pin = node
-                tile = (x * rows + y) * len(dir_list)
-                for d_index in range(len(dir_list)):
-                    base = (tile + d_index) * width
-                    if wire_grid[base] >= 0:
-                        for index in opin_indices[pin]:
-                            result.append(wire_grid[base + index])
-                ipin_base = (x * rows + y) * num_ipins
-                for ordinal in feedback[pin]:
-                    result.append(ipin_grid[ipin_base + ordinal])
-                for pad_index in pads_at.get((x, y), ()):
-                    result.append(pad_in_id[pad_index])
+                dx, dy = DIRECTIONS[direction]
+                tile = ((x + dx) * rows + y + dy) * len(DIRECTIONS)
+                result: List[int] = []
+                for d_out, out_indices in turns[direction]:
+                    base = first[tile + d_out]
+                    if base >= 0:
+                        result.extend([ids[base + out_index] for out_index
+                                       in out_indices[index]])
+                through.append(tuple(result))
+            elif kind == "opin":
+                through.append(driven(node[1], node[2],
+                                      opin_indices[node[3]]))
             elif kind == "pad_o":
-                pad_index = node[1]
-                pad = device.pads[pad_index]
-                indices = pad_wire_indices(device, pad_index)
-                tile = (pad.x * rows + pad.y) * len(dir_list)
-                for d_index in range(len(dir_list)):
-                    base = (tile + d_index) * width
-                    if wire_grid[base] >= 0:
-                        for index in indices:
-                            result.append(wire_grid[base + index])
-                ipin_base = (pad.x * rows + pad.y) * num_ipins
-                for ordinal in range(num_ipins):
-                    if (pad_index + ordinal) % 2 == 0:
-                        result.append(ipin_grid[ipin_base + ordinal])
-            elif kind == "wire":
-                _, x, y, direction, index = node
-                target = device.neighbor(x, y, direction)
-                if target is not None:
-                    tx, ty = target
-                    tile = (tx * rows + ty) * len(dir_list)
-                    for out_direction in dir_list:
-                        key = (direction, out_direction)
-                        if key not in spip_table:
-                            continue
-                        base = (tile + dir_ordinal[out_direction]) * width
-                        if wire_grid[base] >= 0:
-                            for out_index in spip_table[key][index]:
-                                result.append(wire_grid[base + out_index])
-                    ipin_base = (tx * rows + ty) * num_ipins
-                    for ordinal in range(num_ipins):
-                        result.append(ipin_grid[ipin_base + ordinal])
-                    for pad_index in pads_at.get((tx, ty), ()):
-                        result.append(pad_in_id[pad_index])
-            # ipin / pad_i are sinks: empty list.
-            adjacency[node_id] = result
-        self._adjacency_complete = True
+                pad = device.pads[node[1]]
+                through.append(driven(pad.x, pad.y,
+                                      pad_wire_indices(device, node[1])))
+            else:
+                through.append(())  # ipin / pad_i: sinks drive nothing
+        return through
 
     def tile_slot_ids(self, x: int, y: int) -> List[int]:
         """The ids of :func:`tile_pip_nodes` ``(x, y)``, in slot order.
@@ -444,28 +422,6 @@ class RoutingGraph:
         ids += [first + rank for rank in _IPIN_RANKS]
         ids += [node_id[pad_input(pad.index)] for pad in pads]
         return ids
-
-    def np_tables(self) -> Optional[Dict[str, object]]:
-        """Numpy copies of the per-id tables (None without numpy).
-
-        Used by the router to compute per-net candidate masks in one
-        vectorized pass; the list tables stay authoritative.
-        """
-        if self._np_tables is None:
-            try:
-                import numpy
-            except ImportError:
-                return None
-            self._np_tables = {
-                "tile_x": numpy.asarray(self.tile_x, dtype=numpy.int32),
-                "tile_y": numpy.asarray(self.tile_y, dtype=numpy.int32),
-                "is_sink": numpy.asarray(self.is_sink, dtype=bool),
-                "is_wire": numpy.asarray(self.is_wire, dtype=bool),
-                # The unbounded-search mask: only foreign sinks blocked.
-                "sink_blocked": numpy.asarray(self.is_sink,
-                                              dtype=bool).tobytes(),
-            }
-        return self._np_tables
 
 
 #: RoutingGraph per DeviceSpec; specs are frozen dataclasses, and the

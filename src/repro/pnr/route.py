@@ -16,6 +16,7 @@ import heapq
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cells.library import FF_CELLS, LUT_CELLS
+from ..fpga.config import pip_table
 from ..fpga.device import (FF_DATA_PIN, FF_OUTPUT_PIN, FF_PAIRED_LUT,
                            LUT_INPUT_PIN, LUT_OUTPUT_PIN, Device)
 from ..fpga.routing import (Node, Pip, RoutingGraph, pad_input, pad_output,
@@ -322,13 +323,20 @@ class Router:
 
     The search itself is the seed PathFinder recipe, executed on integer
     node ids from the device's memoized :class:`RoutingGraph` instead of
-    node tuples: cost, occupancy and history tables hash small ints, the
-    neighbour lists come precomputed in :func:`downhill` order, and tile
-    coordinates are array lookups.  Because ids are assigned in sorted
-    tuple order and neighbours keep their emission order, every heap
-    tie-break — and therefore every route tree — is bit-identical to the
-    seed tuple router (asserted against
-    :mod:`repro.pnr.reference` by the equivalence tests).
+    node tuples: cost, occupancy and history tables are flat lists, tile
+    coordinates are array lookups, and a search walks only edges it can
+    take — the graph's through-only neighbour lists (wires, never sinks)
+    filtered by a byte mask of the net's bounding box, with the target
+    reached from its PIP fan-in.  Because ids are assigned in sorted
+    tuple order and the target is considered exactly where
+    :func:`downhill` order puts it, every heap tie-break — and therefore
+    every route tree — is bit-identical to the seed tuple router
+    (asserted against :mod:`repro.pnr.reference` by the equivalence
+    tests).
+
+    The mask is the one table a search writes outside its own
+    :class:`_SearchState`, so each router keeps a private copy: the
+    campaign service routes concurrent jobs on one shared graph.
     """
 
     def __init__(self, device: Device, max_iterations: int = 12,
@@ -350,13 +358,16 @@ class Router:
         #: (the margin grows on later negotiation iterations)
         self.bounding_box_margin = bounding_box_margin
         self.graph: RoutingGraph = routing_graph(device)
-        # Pay the whole adjacency table up front in one bulk pass: it is
-        # several times cheaper than faulting it in node by node during
-        # the first nets' searches.
-        self.graph.build_adjacency()
-        #: numpy per-id tables for vectorized candidate masks (None
-        #: without numpy; the search then keeps its inline checks)
-        self._tables = self.graph.np_tables()
+        self._through = self.graph.through()
+        #: the PIP fan-in rows a search enters its target from
+        self._pips = pip_table(device)
+        #: candidate mask, nonzero where a search may not step: every
+        #: wire starts blocked and _route_net opens the net's box
+        self._blocked = bytearray(self.graph.box_mask_template)
+        #: _distance[t][c] = abs(c - t) over every tile coordinate
+        size = max(device.columns, device.rows)
+        self._distance = [[abs(c - t) for c in range(size)]
+                          for t in range(size)]
         #: reusable A* tables (epoch-stamped, never cleared)
         self._search = _SearchState(len(self.graph))
         self._extra_margin = 0
@@ -465,60 +476,46 @@ class Router:
             key=lambda spec: abs(tile_x[id_of[spec.node]] - source_x)
             + abs(tile_y[id_of[spec.node]] - source_y))
 
-        bounding_box = self._net_bounding_box(request)
-        # Vectorized candidate mask of the box (None without numpy): one
-        # byte per node, nonzero when the node may not be expanded.
-        blocked = self._blocked_mask(bounding_box)
-        for spec in ordered_sinks:
-            target_id = id_of[spec.node]
-            if target_id in tree_ids:
+        # Open the box's wires in the mask: one id span per box column.
+        min_x, min_y, max_x, max_y = self._net_bounding_box(request)
+        spans = [graph.wire_span(x, min_y, max_y)
+                 for x in range(min_x, max_x + 1)]
+        blocked = self._blocked
+        for start, stop in spans:
+            blocked[start:stop] = bytes(stop - start)
+        try:
+            for spec in ordered_sinks:
+                target_id = id_of[spec.node]
+                if target_id in tree_ids:
+                    sink_map[spec.node] = spec
+                    continue
+                path = self._find_path(tree_ids, target_id, occupancy,
+                                       base_cost, present_factor, blocked)
+                if path is None:
+                    # Retry once without the bounding-box restriction
+                    # before declaring the sink unroutable.
+                    path = self._find_path(tree_ids, target_id, occupancy,
+                                           base_cost, present_factor,
+                                           graph.unbounded_mask)
+                if path is None:
+                    raise RoutingError(
+                        f"no path from {request.source} to {spec.node} "
+                        f"for net {request.name!r}")
+                previous = path[0]
+                for node_id in path[1:]:
+                    node = nodes[node_id]
+                    if node not in parent:
+                        parent[node] = nodes[previous]
+                    previous = node_id
+                    tree_ids.add(node_id)
                 sink_map[spec.node] = spec
-                continue
-            path = self._find_path(tree_ids, target_id, occupancy,
-                                   base_cost, present_factor,
-                                   bounding_box, blocked)
-            if path is None:
-                # Retry once without the bounding-box restriction before
-                # declaring the sink unroutable.
-                path = self._find_path(
-                    tree_ids, target_id, occupancy, base_cost,
-                    present_factor, None,
-                    self._tables["sink_blocked"] if self._tables else None)
-            if path is None:
-                raise RoutingError(
-                    f"no path from {request.source} to {spec.node} "
-                    f"for net {request.name!r}")
-            previous = path[0]
-            for node_id in path[1:]:
-                node = nodes[node_id]
-                if node not in parent:
-                    parent[node] = nodes[previous]
-                previous = node_id
-                tree_ids.add(node_id)
-            sink_map[spec.node] = spec
+        finally:
+            template = graph.box_mask_template
+            for start, stop in spans:
+                blocked[start:stop] = template[start:stop]
 
         return RouteTree(request.name, request.source, parent,
                          sink_map), tree_ids
-
-    def _blocked_mask(self, bounding_box: Tuple[int, int, int, int]
-                      ) -> Optional[bytes]:
-        """Per-node expansion blocks of one net, as a flat byte mask.
-
-        A node is blocked when it is a sink (the search special-cases its
-        own target) or a wire outside the net's box.  Computing this once
-        per net with numpy replaces two predicate checks per visited edge
-        in the hot loop; without numpy the loop keeps its inline checks.
-        """
-        tables = self._tables
-        if tables is None:
-            return None
-        min_x, min_y, max_x, max_y = bounding_box
-        tile_x = tables["tile_x"]
-        tile_y = tables["tile_y"]
-        outside = (tile_x < min_x) | (tile_x > max_x) \
-            | (tile_y < min_y) | (tile_y > max_y)
-        return ((tables["is_wire"] & outside)
-                | tables["is_sink"]).tobytes()
 
     def _net_bounding_box(self, request: NetRequest
                           ) -> Tuple[int, int, int, int]:
@@ -542,26 +539,36 @@ class Router:
 
     def _find_path(self, tree_ids: Set[int], target: int,
                    occupancy: List[int], base_cost: List[float],
-                   present_factor: float,
-                   bounding_box: Optional[Tuple[int, int, int, int]],
-                   blocked: Optional[bytes]) -> Optional[List[int]]:
+                   present_factor: float, blocked: Sequence[int]
+                   ) -> Optional[List[int]]:
         """A* from the existing tree to *target*.
 
-        The cost arithmetic, push order and tie-breaks are exactly the
-        seed recipe's (``base_cost[n]`` is the precomputed ``1.0 +
-        history``), so the returned path is bit-identical whether the
-        candidate test runs on the vectorized *blocked* mask or on the
-        inline predicate fallback below.
+        Steps along the through-only neighbour lists onto every node
+        *blocked* leaves open, and onto *target* only from its PIP
+        fan-in: a popped feeder considers the target after its through
+        neighbours, where :func:`~repro.fpga.routing.downhill` order puts
+        it.  The cost arithmetic, push order and tie-breaks are exactly
+        the seed recipe's (``base_cost[n]`` is the precomputed ``1.0 +
+        history``), so the returned path is bit-identical to the seed
+        router's.
         """
         graph = self.graph
+        through = self._through
         tile_x = graph.tile_x
         tile_y = graph.tile_y
-        is_wire = graph.is_wire
-        is_pad_in = graph.is_pad_in
-        adjacency = graph._adjacency
         weight = self.heuristic_weight
         target_x = tile_x[target]
         target_y = tile_y[target]
+        # ``weight * (dist_x[x] + dist_y[y])`` is the same float as the
+        # seed's weighted sum of abs() distances.
+        dist_x = self._distance[target_x]
+        dist_y = self._distance[target_y]
+        pips = self._pips
+        first = pips.first_bit[target]
+        feeders = set(pips.source[first:first + pips.fanin[target]])
+        target_step = base_cost[target]
+        if occupancy[target]:
+            target_step += 1000.0
 
         state = self._search
         state.epoch += 1
@@ -579,8 +586,8 @@ class Router:
             mark[node_id] = epoch
             came[node_id] = -1
             best[node_id] = 0.0
-            estimate = weight * (abs(tile_x[node_id] - target_x)
-                                 + abs(tile_y[node_id] - target_y))
+            estimate = weight * (dist_x[tile_x[node_id]]
+                                 + dist_y[tile_y[node_id]])
             heapq.heappush(frontier, (estimate, 0.0, counter, node_id))
             counter += 1
 
@@ -588,52 +595,6 @@ class Router:
         # implementation runtime of large TMR designs.
         heappush = heapq.heappush
         heappop = heapq.heappop
-
-        if blocked is not None:
-            while frontier:
-                _, cost_so_far, _, node_id = heappop(frontier)
-                if cost_so_far > best[node_id]:
-                    continue
-                if node_id == target:
-                    path = [node_id]
-                    current = node_id
-                    while came[current] >= 0:
-                        current = came[current]
-                        path.append(current)
-                    path.reverse()
-                    return path
-                for neighbor in adjacency[node_id]:
-                    if blocked[neighbor] and neighbor != target:
-                        continue
-                    step = base_cost[neighbor]
-                    usage = occupancy[neighbor]
-                    if usage:
-                        if is_wire[neighbor]:
-                            step += present_factor * usage
-                        else:
-                            step += 1000.0
-                    new_cost = cost_so_far + step
-                    if mark[neighbor] != epoch or new_cost < best[neighbor]:
-                        mark[neighbor] = epoch
-                        best[neighbor] = new_cost
-                        came[neighbor] = node_id
-                        counter += 1
-                        if is_pad_in[neighbor]:
-                            estimate = 0.0
-                        else:
-                            estimate = weight * (
-                                abs(tile_x[neighbor] - target_x)
-                                + abs(tile_y[neighbor] - target_y))
-                        heappush(frontier, (new_cost + estimate, new_cost,
-                                            counter, neighbor))
-            return None
-
-        # Pure-python fallback (no numpy): identical search with the two
-        # candidate predicates evaluated inline.
-        is_sink = graph.is_sink
-        if bounding_box is not None:
-            box_min_x, box_min_y, box_max_x, box_max_y = bounding_box
-
         while frontier:
             _, cost_so_far, _, node_id = heappop(frontier)
             if cost_so_far > best[node_id]:
@@ -646,35 +607,35 @@ class Router:
                     path.append(current)
                 path.reverse()
                 return path
-            for neighbor in adjacency[node_id]:
-                if is_sink[neighbor] and neighbor != target:
-                    continue  # foreign sinks are not through-routing resources
-                if bounding_box is not None and is_wire[neighbor]:
-                    if not (box_min_x <= tile_x[neighbor] <= box_max_x
-                            and box_min_y <= tile_y[neighbor]
-                            <= box_max_y):
-                        continue
-                step = base_cost[neighbor]
+            # Through neighbours are all wires.
+            for neighbor in through[node_id]:
+                if blocked[neighbor]:
+                    continue
                 usage = occupancy[neighbor]
                 if usage:
-                    if is_wire[neighbor]:
-                        step += present_factor * usage
-                    else:
-                        step += 1000.0
-                new_cost = cost_so_far + step
+                    new_cost = cost_so_far + (base_cost[neighbor]
+                                              + present_factor * usage)
+                else:
+                    new_cost = cost_so_far + base_cost[neighbor]
                 if mark[neighbor] != epoch or new_cost < best[neighbor]:
                     mark[neighbor] = epoch
                     best[neighbor] = new_cost
                     came[neighbor] = node_id
                     counter += 1
-                    if is_pad_in[neighbor]:
-                        estimate = 0.0
-                    else:
-                        estimate = weight * (abs(tile_x[neighbor] - target_x)
-                                             + abs(tile_y[neighbor]
-                                                   - target_y))
-                    heappush(frontier, (new_cost + estimate, new_cost,
-                                        counter, neighbor))
+                    heappush(frontier, (
+                        new_cost + weight * (dist_x[tile_x[neighbor]]
+                                             + dist_y[tile_y[neighbor]]),
+                        new_cost, counter, neighbor))
+            if node_id in feeders:
+                new_cost = cost_so_far + target_step
+                if mark[target] != epoch or new_cost < best[target]:
+                    mark[target] = epoch
+                    best[target] = new_cost
+                    came[target] = node_id
+                    counter += 1
+                    # The target's heuristic distance is 0.
+                    heappush(frontier, (new_cost, new_cost, counter,
+                                        target))
         return None
 
 

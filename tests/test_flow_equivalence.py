@@ -8,15 +8,21 @@ Table 2 bit accounting — so every table and campaign number of the paper
 reproduction is unchanged by the optimization.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.fpga import device_by_name
+from repro.fpga.config import pip_table
 from repro.fpga.routing import (clear_routing_graph_cache, downhill,
                                 routing_graph)
 from repro.netlist import flatten
 from repro.pnr import netlist_fingerprint, pack, place, route_design
 from repro.pnr.reference import (reference_bit_stats, reference_place,
                                  reference_route_design)
+
+_SINK_KINDS = ("ipin", "pad_i")
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +50,48 @@ class TestRoutingGraph:
         assert all(graph.node_id[node] == index
                    for index, node in enumerate(graph.nodes))
 
-    def test_adjacency_preserves_downhill_order(self, small_device):
-        graph = routing_graph(small_device)
-        for node in (("opin", 1, 1, "X"), ("wire", 1, 1, "N", 0),
-                     ("pad_o", 0)):
+    # The router's search contract, over every node of two profiles:
+    # sinks come last in downhill order, the through lists are downhill
+    # without its sinks, and the PIP table's fan-in of a sink is exactly
+    # the set of nodes whose downhill list reaches it.
+    @pytest.mark.parametrize("device_name", ["XC2S15E", "XC2S50E"])
+    def test_downhill_lists_sinks_last(self, device_name):
+        device = device_by_name(device_name)
+        for node in routing_graph(device).nodes:
+            kinds = [neighbor[0] in _SINK_KINDS
+                     for neighbor in downhill(device, node)]
+            assert kinds == sorted(kinds), node
+
+    @pytest.mark.parametrize("device_name", ["XC2S15E", "XC2S50E"])
+    def test_through_lists_are_downhill_without_sinks(self, device_name):
+        device = device_by_name(device_name)
+        graph = routing_graph(device)
+        through = graph.through()
+        for node_id, node in enumerate(graph.nodes):
             expected = [graph.node_id[neighbor]
-                        for neighbor in downhill(small_device, node)]
-            assert graph.downhill_ids(graph.node_id[node]) == expected
+                        for neighbor in downhill(device, node)
+                        if neighbor[0] not in _SINK_KINDS]
+            assert list(through[node_id]) == expected, node
+            # The search charges through neighbours as wires.
+            assert all(graph.is_wire[neighbor] for neighbor in expected)
+
+    @pytest.mark.parametrize("device_name", ["XC2S15E", "XC2S50E"])
+    def test_sink_fanin_is_downhill_predecessors(self, device_name):
+        device = device_by_name(device_name)
+        graph = routing_graph(device)
+        table = pip_table(device)
+        feeders = {}
+        for node_id, node in enumerate(graph.nodes):
+            for neighbor in downhill(device, node):
+                if neighbor[0] in _SINK_KINDS:
+                    feeders.setdefault(graph.node_id[neighbor],
+                                       set()).add(node_id)
+        sinks = [node_id for node_id, node in enumerate(graph.nodes)
+                 if node[0] in _SINK_KINDS]
+        assert sinks
+        for sink in sinks:
+            assert {table.source[bit] for bit in table.bits_into(sink)} \
+                == feeders.get(sink, set()), graph.nodes[sink]
 
     def test_graph_memoized_per_spec(self, small_device):
         assert routing_graph(small_device) is routing_graph(small_device)
@@ -176,6 +217,51 @@ class TestRoutingEquivalence:
         seed = reference_route_design(flat, packed, placement, device,
                                       max_iterations=20)
         self._assert_same_routing(fast, seed)
+
+
+
+class TestConcurrentRouting:
+    def test_threads_sharing_a_graph_route_like_serial(self, suite_flats):
+        # The campaign service routes concurrent jobs in threads on one
+        # memoized routing graph; each router keeps its own box mask, so
+        # overlapping searches must not see each other's boxes.
+        device = device_by_name("XC2S50E")
+        jobs = {}
+        for name in ("p2", "p3_nv"):
+            flat = suite_flats[name]
+            packed = pack(flat)
+            jobs[name] = (flat, packed, place(flat, packed, device, seed=1,
+                                              anneal_moves_per_slice=2))
+
+        def routes(name):
+            routing = route_design(*jobs[name], device, max_iterations=20)
+            return ({net: tree.parent for net, tree
+                     in routing.routes.items()}, routing.pip_owner)
+
+        serial = {name: routes(name) for name in jobs}
+        start = threading.Barrier(len(jobs))
+        concurrent = {name: [] for name in jobs}
+
+        def worker(name):
+            start.wait(timeout=60)
+            for _ in range(3):
+                concurrent[name].append(routes(name))
+
+        interval = sys.getswitchinterval()
+        # Switch threads often so the two searches interleave densely.
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(name,))
+                       for name in jobs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for name, runs in concurrent.items():
+            assert runs == [serial[name]] * 3, name
 
 
 class TestBitStatsEquivalence:
