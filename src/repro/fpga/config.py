@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import struct
+import threading
 from array import array
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -311,6 +312,10 @@ class _TileTemplate:
 #: on that profile.
 _LAYOUT_CACHE: Dict[DeviceSpec, ConfigLayout] = {}
 _PIP_TABLES: Dict[DeviceSpec, PipTable] = {}
+#: Held across the PIP-table memo check and the build.  A table build
+#: takes the routing-graph lock inside this one (never the reverse), so
+#: the lock order is table, then graph.
+_PIP_TABLES_LOCK = threading.Lock()
 
 
 def shared_layout(device: Device) -> ConfigLayout:
@@ -324,10 +329,11 @@ def shared_layout(device: Device) -> ConfigLayout:
 
 def pip_table(device: Device) -> PipTable:
     """The memoized PIP table of a device profile."""
-    table = _PIP_TABLES.get(device.spec)
-    if table is None:
-        table = PipTable(device)
-        _PIP_TABLES[device.spec] = table
+    with _PIP_TABLES_LOCK:
+        table = _PIP_TABLES.get(device.spec)
+        if table is None:
+            table = PipTable(device)
+            _PIP_TABLES[device.spec] = table
     return table
 
 

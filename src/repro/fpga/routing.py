@@ -31,6 +31,7 @@ depending on whether its two ends are used (see
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
@@ -427,14 +428,19 @@ class RoutingGraph:
 #: RoutingGraph per DeviceSpec; specs are frozen dataclasses, and the
 #: handful of device profiles bounds this cache naturally.
 _GRAPH_CACHE: Dict[object, RoutingGraph] = {}
+#: Held across the graph memo check and the build.  PIP-table builds take
+#: it while holding their own lock, so a graph build must never ask for a
+#: PIP table.
+_GRAPH_LOCK = threading.Lock()
 
 
 def routing_graph(device: Device) -> RoutingGraph:
     """The memoized flat routing graph of a device profile."""
-    graph = _GRAPH_CACHE.get(device.spec)
-    if graph is None:
-        graph = RoutingGraph(device)
-        _GRAPH_CACHE[device.spec] = graph
+    with _GRAPH_LOCK:
+        graph = _GRAPH_CACHE.get(device.spec)
+        if graph is None:
+            graph = RoutingGraph(device)
+            _GRAPH_CACHE[device.spec] = graph
     return graph
 
 

@@ -40,6 +40,7 @@ import dataclasses
 import hashlib
 import platform
 import sys
+import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -64,6 +65,9 @@ REPORT_SCHEMA = "repro.scenario-report/1"
 
 #: Suites already built this process, keyed by their build recipe.
 _SUITE_MEMO: Dict[Tuple, DesignSuite] = {}
+#: Held across the memo check and the build, so concurrent jobs (the
+#: campaign service runs them on threads) build each suite once.
+_SUITE_LOCK = threading.Lock()
 
 
 # ----------------------------------------------------------------------
@@ -186,15 +190,20 @@ def get_suite(scale: str, partition_selector: str = "canonical",
     across repeated scenario runs.
     """
     key = (scale, partition_selector, shortlist_size)
-    memo_hit = key in _SUITE_MEMO
-    if memo_hit:
-        suite = _SUITE_MEMO[key]
-        generated = [name for name in suite.flat
-                     if name.startswith("TMR_shortlist")]
-        return suite, generated, True
+    with _SUITE_LOCK:
+        suite = _SUITE_MEMO.get(key)
+        memo_hit = suite is not None
+        if suite is None:
+            suite = _build_suite(scale, partition_selector, shortlist_size)
+            _SUITE_MEMO[key] = suite
+    generated = [name for name in suite.flat
+                 if name.startswith("TMR_shortlist")]
+    return suite, generated, memo_hit
 
+
+def _build_suite(scale: str, partition_selector: str,
+                 shortlist_size: int) -> DesignSuite:
     suite = build_design_suite(scale)
-    generated: List[str] = []
     if partition_selector == "shortlist":
         from .core import pareto_front, sweep_partitions
         from .experiments.designs import _optimize
@@ -213,13 +222,11 @@ def get_suite(scale: str, partition_selector: str = "canonical",
                 suite.optimized)
             suite.flat[name] = flat
             suite.tmr[name] = candidate.result
-            generated.append(name)
     elif partition_selector != "canonical":
         raise ValueError(f"unknown partition selector "
                          f"{partition_selector!r}; choose 'canonical' or "
                          f"'shortlist'")
-    _SUITE_MEMO[key] = suite
-    return suite, generated, False
+    return suite
 
 
 class BuildStage(Stage):

@@ -230,13 +230,13 @@ class TestTierReadThrough:
 
         clear_cache()
         first = run_campaign(tiny_fir_implementation, config,
-                             backend="batch")
+                             backend="serial")
         assert tier.stats.fault_list_stores == 1
         assert tier.stats.golden_stores == 1
 
         clear_cache()  # the restart: only the tier survives
         second = run_campaign(tiny_fir_implementation, config,
-                              backend="batch")
+                              backend="serial")
         assert tier.stats.fault_list_hits == 1
         assert tier.stats.golden_hits == 1
         assert second.wrong_answers == first.wrong_answers
@@ -247,7 +247,7 @@ class TestTierReadThrough:
         deactivate_tier()
         clear_cache()
         fresh = run_campaign(tiny_fir_implementation, config,
-                             backend="batch")
+                             backend="serial")
         assert fresh.wrong_answers == first.wrong_answers
         assert fresh.effect_table() == first.effect_table()
 

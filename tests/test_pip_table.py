@@ -10,12 +10,16 @@ library only, so they also run without numpy.
 """
 
 import pickle
+import threading
+import time
+import types
 
 import pytest
 
 from repro.experiments import (DESIGN_ORDER, build_design_suite,
                                implement_design_suite)
 from repro.faults import FaultListManager
+from repro.fpga import config, routing
 from repro.fpga import (LUT_BITS, LUT_SLOTS, SLICE_CFG_BITS,
                         SLICE_INPUT_PINS, device_by_name, ipin, lut_bit,
                         node_tile, pip_resource, pips_into_tile, slice_cfg)
@@ -182,6 +186,42 @@ class TestCacheLifetime:
         assert after_graph_clear is not rebuilt
         assert after_graph_clear.graph is routing_graph(small_device)
         assert after_graph_clear.source == table.source
+
+
+class TestConcurrentMemos:
+    """Two threads asking for one device's table or graph build it once."""
+
+    @pytest.mark.parametrize("module, memo, builder, get", [
+        (config, "_PIP_TABLES", "PipTable", config.pip_table),
+        (routing, "_GRAPH_CACHE", "RoutingGraph", routing.routing_graph),
+    ], ids=["pip_table", "routing_graph"])
+    def test_concurrent_calls_build_once(self, monkeypatch, module, memo,
+                                         builder, get):
+        builds = []
+
+        def slow_build(device):
+            builds.append(device)
+            time.sleep(0.2)
+            return object()
+
+        monkeypatch.setattr(module, memo, {})
+        monkeypatch.setattr(module, builder, slow_build)
+        device = types.SimpleNamespace(spec=object())
+        start = threading.Barrier(2)
+        results = []
+
+        def worker():
+            start.wait(timeout=30)
+            results.append(get(device))
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert builds == [device]
+        assert len(results) == 2 and results[0] is results[1]
 
 
 class TestPickle:

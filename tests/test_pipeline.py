@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
+import time
 
 import pytest
 
+from repro import pipeline
 from repro import (SCENARIOS, Scenario, register_scenario, run_scenario,
                    scenario_by_name, stable_report)
 from repro.__main__ import main as cli_main
@@ -269,3 +272,43 @@ class TestCustomScenario:
     def test_dataclass_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             SCENARIOS["table3-fir"].scale = "paper"
+
+
+class TestSuiteMemo:
+    def test_concurrent_calls_build_once(self, monkeypatch):
+        # The campaign service runs jobs on threads; two jobs asking for
+        # the same recipe at once must share one build, not race two.
+        builds = []
+
+        def slow_build(scale):
+            builds.append(scale)
+            time.sleep(0.2)
+            return _StubSuite()
+
+        monkeypatch.setattr(pipeline, "_SUITE_MEMO", {})
+        monkeypatch.setattr(pipeline, "build_design_suite", slow_build)
+        start = threading.Barrier(2)
+        results = []
+
+        def worker():
+            start.wait(timeout=30)
+            results.append(pipeline.get_suite("tiny"))
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert builds == ["tiny"]
+        assert len(results) == 2
+        assert results[0][0] is results[1][0]
+        assert sorted(hit for _suite, _names, hit in results) == \
+            [False, True]
+
+
+class _StubSuite:
+    """Stands in for a DesignSuite: ``get_suite`` reads only ``flat``."""
+
+    def __init__(self):
+        self.flat = {}

@@ -16,6 +16,7 @@ from repro.faults import (AccumulatedUpset, CampaignConfig, FaultList,
                           merged_effect, resolve_upset_model, run_campaign)
 from repro.faults.engine import CampaignContext
 from repro.fpga.config import LUT_BITS, lut_bit
+from repro.sim import have_numpy
 
 
 @pytest.fixture()
@@ -178,7 +179,8 @@ class TestMergedEffect:
 class TestCampaignIntegration:
     """End-to-end campaigns under every model, across engine backends."""
 
-    BACKENDS = ("serial", "batch", "vector")
+    #: numpy joins the lists only where it is importable
+    BACKENDS = ("serial", "vector") + (("numpy",) if have_numpy() else ())
 
     def _results(self, implementation, model, backend, num_faults=50):
         config = CampaignConfig(num_faults=num_faults, workload_cycles=6,
@@ -209,7 +211,7 @@ class TestCampaignIntegration:
     def test_multi_bit_backends_agree(self, tiny_tmr_implementation, model):
         reference, reference_rows = self._results(tiny_tmr_implementation,
                                                   model, "serial")
-        for backend in ("batch", "vector"):
+        for backend in self.BACKENDS[1:]:
             result, rows = self._results(tiny_tmr_implementation, model,
                                          backend)
             assert rows == reference_rows
